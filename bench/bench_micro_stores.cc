@@ -465,8 +465,7 @@ bool RunWireLeg(std::vector<bench::BenchRun>* runs) {
   const uint64_t ops = bench::OpsBudget();
   const std::vector<StateAccess> trace = JsonReplayTrace(ops);
   bench::PrintHeader("wire replay (loopback loadgen vs store server, lsm)");
-  std::printf("%8s %14s %14s %14s %10s\n", "ioT", "kops/s", "writev_calls", "frames/wv max",
-              "io_uring");
+  std::printf("%8s %14s %14s %14s\n", "ioT", "kops/s", "writev_calls", "frames/wv max");
   for (int io_threads : {1, 4}) {
     ScopedTempDir dir("bench-micro-wire");
     wire::ServerOptions sopts;
@@ -503,11 +502,10 @@ bool RunWireLeg(std::vector<bench::BenchRun>* runs) {
     run.engine = "lsm";
     run.result = result->replay;
     run.stats = (*server)->shard_set()->MergedStats();
-    std::printf("%8d %14.1f %14llu %14llu %10s\n", io_threads,
+    std::printf("%8d %14.1f %14llu %14llu\n", io_threads,
                 result->replay.throughput_ops_per_sec / 1e3,
                 static_cast<unsigned long long>(net.writev_calls),
-                static_cast<unsigned long long>(net.frames_per_writev_max),
-                net.io_uring_active ? "yes" : "no");
+                static_cast<unsigned long long>(net.frames_per_writev_max));
     runs->push_back(std::move(run));
     (*server)->Stop();
   }

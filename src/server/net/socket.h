@@ -1,8 +1,8 @@
 // TCP plumbing for the store service.
 //
 // This directory is the ONLY place in the tree allowed to call the raw
-// socket syscalls (socket / send / recv / writev / sendmsg and the io_uring
-// socket opcodes — enforced by gadget_lint's `raw-socket` rule): everything
+// socket syscalls (socket / send / recv / writev / sendmsg and their
+// submission-ring opcodes — enforced by gadget_lint's `raw-socket` rule): everything
 // above it talks through these helpers or the FramedConn wrapper, so framing,
 // partial-write handling, EINTR retries, and SIGPIPE suppression are decided
 // once.

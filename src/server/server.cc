@@ -20,7 +20,6 @@
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
 #include "src/server/net/socket.h"
-#include "src/server/net/uring_socket.h"
 #include "src/server/wire.h"
 
 namespace gadget {
@@ -84,10 +83,9 @@ struct Conn {
   // is over `outq_limit` they wait — periodically attempting the drain
   // themselves, because the owner reactor may itself be parked in dispatch
   // backpressure and unable to service EPOLLOUT. Reactors pass
-  // may_block=false (a reactor must never sleep on one connection) and their
-  // own ring for the inline drain.
-  void Send(std::string_view frames, uint64_t nframes, net::UringSocket* ring,
-            bool may_block, size_t outq_limit, NetCounters* nc) {
+  // may_block=false: a reactor must never sleep on one connection.
+  void Send(std::string_view frames, uint64_t nframes, bool may_block, size_t outq_limit,
+            NetCounters* nc) {
     if (frames.empty()) {
       return;
     }
@@ -100,7 +98,7 @@ struct Conn {
     if (may_block && outq_bytes != 0 && outq_bytes + frames.size() > outq_limit) {
       const auto t0 = std::chrono::steady_clock::now();
       while (!closed && outq_bytes != 0 && outq_bytes + frames.size() > outq_limit) {
-        if (!DrainLocked(nullptr, nc)) {
+        if (!DrainLocked(nc)) {
           break;  // connection died mid-drain
         }
         if (closed || outq_bytes == 0 || outq_bytes + frames.size() <= outq_limit) {
@@ -123,7 +121,7 @@ struct Conn {
     outq_bytes += frames.size();
     UpdateMax(nc->outq_bytes_max, outq_bytes);
     if (!write_armed) {
-      if (!DrainLocked(ring, nc)) {
+      if (!DrainLocked(nc)) {
         return;
       }
       if (!outq.empty()) {
@@ -136,7 +134,7 @@ struct Conn {
   // to kMaxIov queued bursts per writev. Returns false when the connection
   // died (closed is then set); true otherwise — a true return with a
   // non-empty queue means EAGAIN.
-  bool DrainLocked(net::UringSocket* ring, NetCounters* nc) REQUIRES(mu) {
+  bool DrainLocked(NetCounters* nc) REQUIRES(mu) {
     while (!outq.empty()) {
       iovec iov[kMaxIov];
       int cnt = 0;
@@ -150,9 +148,7 @@ struct Conn {
         ++cnt;
       }
       std::string error;
-      const ssize_t n = ring != nullptr
-                            ? ring->Writev(fd, iov, cnt, &error)
-                            : net::WritevNonBlocking(fd, iov, cnt, &error);
+      const ssize_t n = net::WritevNonBlocking(fd, iov, cnt, &error);
       if (n == -1) {
         return true;  // socket buffer full; caller arms EPOLLOUT
       }
@@ -257,17 +253,13 @@ struct ShardQueue {
 };
 
 // One reactor: a private epoll set, its connections, a wake eventfd doubling
-// as the accepted-fd handoff doorbell, and (optionally) an io_uring ring.
+// as the accepted-fd handoff doorbell.
 struct IoThread {
   int epoll_fd = -1;
   int wake_fd = -1;
   std::unordered_map<int, std::shared_ptr<Conn>> conns;  // owner thread only
   Mutex in_mu;
   std::vector<int> incoming GUARDED_BY(in_mu);  // accepted fds awaiting adoption
-  // Created before the thread starts, never reassigned after: concurrent
-  // snapshot reads of the pointer are safe, and the ring itself is only
-  // driven by the owner thread.
-  std::unique_ptr<net::UringSocket> uring;
   std::atomic<uint64_t> ops{0};  // frames decoded by this reactor
 
   ~IoThread() {
@@ -299,11 +291,9 @@ struct Server::Impl {
   void AcceptAll(IoThread& t0);
   void AdoptConn(IoThread& t, int fd);
   void AdoptIncoming(IoThread& t);
-  // Receives everything currently buffered on each readable connection —
-  // through one io_uring wave per round when the reactor has a ring, plain
-  // recv otherwise. dead[i] is set on EOF / receive error.
-  void ReadBatch(IoThread& t, const std::vector<std::shared_ptr<Conn>>& ready,
-                 std::vector<char>* dead);
+  // Receives everything currently buffered on each readable connection.
+  // dead[i] is set on EOF / receive error.
+  void ReadBatch(const std::vector<std::shared_ptr<Conn>>& ready, std::vector<char>* dead);
   // Drains the output queue on EPOLLOUT; drops the connection on write error.
   void HandleWritable(IoThread& t, const std::shared_ptr<Conn>& conn);
   // Decodes every complete frame buffered on `conn` and dispatches the
@@ -440,7 +430,7 @@ void Server::Impl::IoLoop(size_t tid) {
     }
     if (!readable.empty()) {
       dead.assign(readable.size(), 0);
-      ReadBatch(t, readable, &dead);
+      ReadBatch(readable, &dead);
       for (size_t i = 0; i < readable.size(); ++i) {
         if (!DecodeBurst(t, readable[i]) || dead[i] != 0) {
           DropConn(t, readable[i]->fd);
@@ -473,55 +463,15 @@ void Server::Impl::HandleWritable(IoThread& t, const std::shared_ptr<Conn>& conn
   bool dead_conn;
   {
     MutexLock lock(&conn->mu);
-    dead_conn = conn->closed || !conn->DrainLocked(t.uring.get(), &net);
+    dead_conn = conn->closed || !conn->DrainLocked(&net);
   }
   if (dead_conn) {
     DropConn(t, conn->fd);
   }
 }
 
-void Server::Impl::ReadBatch(IoThread& t, const std::vector<std::shared_ptr<Conn>>& ready,
+void Server::Impl::ReadBatch(const std::vector<std::shared_ptr<Conn>>& ready,
                              std::vector<char>* dead) {
-  if (t.uring != nullptr) {
-    // Wave loop: every still-active connection gets one IORING_OP_RECV per
-    // round, submitted together. A full chunk means the socket may hold
-    // more, so it rides the next wave; a short chunk means it is drained.
-    std::vector<size_t> active(ready.size());
-    for (size_t i = 0; i < ready.size(); ++i) {
-      active[i] = i;
-    }
-    std::vector<net::UringSocket::RecvOp> ops;
-    std::vector<net::UringSocket::RecvOp*> op_ptrs;
-    while (!active.empty()) {
-      ops.assign(active.size(), net::UringSocket::RecvOp{});
-      op_ptrs.clear();
-      for (size_t j = 0; j < active.size(); ++j) {
-        Conn& c = *ready[active[j]];
-        ops[j].fd = c.fd;
-        ops[j].buf = &c.in;
-        ops[j].cap = kRecvChunk;
-        op_ptrs.push_back(&ops[j]);
-      }
-      if (!t.uring->RecvBatch(op_ptrs)) {
-        break;  // ring unusable; level-triggered epoll re-reports next wake
-      }
-      std::vector<size_t> next;
-      for (size_t j = 0; j < active.size(); ++j) {
-        const net::UringSocket::RecvOp& op = ops[j];
-        if (op.result > 0) {
-          net.bytes_in.fetch_add(static_cast<uint64_t>(op.result),
-                                 std::memory_order_relaxed);
-          if (static_cast<size_t>(op.result) == op.cap) {
-            next.push_back(active[j]);
-          }
-        } else if (op.result != -1) {
-          (*dead)[active[j]] = 1;  // orderly EOF or hard error
-        }
-      }
-      active.swap(next);
-    }
-    return;
-  }
   for (size_t i = 0; i < ready.size(); ++i) {
     for (;;) {
       std::string error;
@@ -686,7 +636,7 @@ bool Server::Impl::DecodeBurst(IoThread& t, const std::shared_ptr<Conn>& conn) {
     conn->in.erase(0, conn->off);
     conn->off = 0;
   }
-  conn->Send(inline_out, inline_frames, t.uring.get(), /*may_block=*/false,
+  conn->Send(inline_out, inline_frames, /*may_block=*/false,
              options.conn_outq_limit, &net);
   for (size_t shard = 0; shard < per_shard.size(); ++shard) {
     if (!per_shard[shard].empty()) {
@@ -849,7 +799,7 @@ void Server::Impl::ExecuteTask(int shard, ShardTask& task) {
           }
         }
         if (done) {
-          item.mjoin->conn->Send(join_out, 1, nullptr, /*may_block=*/true,
+          item.mjoin->conn->Send(join_out, 1, /*may_block=*/true,
                                  options.conn_outq_limit, &net);
         }
         break;
@@ -884,7 +834,7 @@ void Server::Impl::ExecuteTask(int shard, ShardTask& task) {
           }
         }
         if (done) {
-          item.bjoin->conn->Send(join_out, 1, nullptr, /*may_block=*/true,
+          item.bjoin->conn->Send(join_out, 1, /*may_block=*/true,
                                  options.conn_outq_limit, &net);
         }
         break;
@@ -897,7 +847,7 @@ void Server::Impl::ExecuteTask(int shard, ShardTask& task) {
   }
   flush_writes();
   flush_reads();
-  task.conn->Send(out, out_frames, nullptr, /*may_block=*/true,
+  task.conn->Send(out, out_frames, /*may_block=*/true,
                   options.conn_outq_limit, &net);
 }
 
@@ -913,11 +863,6 @@ NetStats Server::Impl::SnapshotNet() const {
   s.thread_ops.reserve(io.size());
   for (const auto& t : io) {
     s.thread_ops.push_back(t->ops.load(std::memory_order_relaxed));
-    if (t->uring != nullptr) {
-      s.io_uring_active = true;
-      s.uring_enters += t->uring->enters();
-      s.uring_sqes += t->uring->ops_submitted();
-    }
   }
   return s;
 }
@@ -926,8 +871,6 @@ JsonValue Server::Impl::NetJson() const {
   const NetStats s = SnapshotNet();
   JsonValue net_doc = JsonValue::MakeObject();
   net_doc.Set("io_threads", static_cast<uint64_t>(io.size()));
-  net_doc.Set("io_uring_requested", options.use_io_uring);
-  net_doc.Set("io_uring_active", s.io_uring_active);
   net_doc.Set("bytes_in", s.bytes_in);
   net_doc.Set("bytes_out", s.bytes_out);
   net_doc.Set("writev_calls", s.writev_calls);
@@ -935,8 +878,6 @@ JsonValue Server::Impl::NetJson() const {
   net_doc.Set("output_queue_stall_micros", s.output_queue_stall_micros);
   net_doc.Set("output_queue_bytes_max", s.output_queue_bytes_max);
   net_doc.Set("conns_accepted", s.conns_accepted);
-  net_doc.Set("uring_enters", s.uring_enters);
-  net_doc.Set("uring_sqes", s.uring_sqes);
   JsonValue thread_ops = JsonValue::MakeArray();
   for (uint64_t v : s.thread_ops) {
     thread_ops.Append(v);
@@ -1004,13 +945,6 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
         return Status::IoError("epoll_ctl(listen)");
       }
     }
-    if (options.use_io_uring) {
-      auto ring = std::make_unique<net::UringSocket>();
-      if (ring->available()) {
-        t->uring = std::move(ring);
-      }
-      // else: the probe said no (old kernel, seccomp) — epoll silently.
-    }
     impl->io.push_back(std::move(t));
   }
 
@@ -1032,14 +966,9 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
   for (int i = 0; i < options.shards; ++i) {
     server->workers_.emplace_back([raw, i] { raw->WorkerLoop(i); });
   }
-  bool uring_live = false;
-  for (const auto& t : raw->io) {
-    uring_live = uring_live || t->uring != nullptr;
-  }
   GADGET_LOG(Info) << "gadget serve: " << options.shards << " shard(s) of "
                    << options.store.engine << " on 127.0.0.1:" << server->port_ << ", " << nio
-                   << " IO thread(s), "
-                   << (uring_live ? "io_uring" : (options.use_io_uring ? "epoll (io_uring unavailable)" : "epoll"));
+                   << " IO thread(s)";
   return server;
 }
 

@@ -7,9 +7,7 @@
 //     are sharded round-robin across reactors (thread 0 also owns the listen
 //     socket). Each reactor decodes frames, answers PING/STATS inline, and
 //     groups a pipelined read-burst into at most one task per shard before
-//     dispatching. With `use_io_uring`, a reactor drains all of a wake's
-//     readable sockets through one io_uring submission wave instead of one
-//     recv() per socket (silent epoll fallback when the kernel lacks it).
+//     dispatching.
 //   * ONE worker thread per shard drains that shard's task queue. A task is
 //     a burst of requests from one connection; the worker coalesces it into
 //     stripe-friendly WriteBatch / MultiGet calls (same read-your-writes
@@ -60,10 +58,6 @@ struct ServerOptions {
   // Reactor count. 0 = min(4, hardware threads). Connections are assigned
   // round-robin at accept and never migrate.
   int io_threads = 0;
-  // Submit socket receives/sends on the reactors through io_uring when the
-  // kernel supports it (raw syscalls, probed at startup). A request, not a
-  // requirement: unsupported kernels fall back to plain epoll silently.
-  bool use_io_uring = false;
   // Max queued tasks per shard before dispatch blocks (the backpressure
   // knob; a task is one connection's burst for one shard).
   size_t shard_queue_limit = 128;
@@ -93,9 +87,6 @@ struct NetStats {
   uint64_t output_queue_stall_micros = 0;
   uint64_t output_queue_bytes_max = 0;
   uint64_t conns_accepted = 0;
-  bool io_uring_active = false;  // probe succeeded on at least one reactor
-  uint64_t uring_enters = 0;     // io_uring_enter syscalls across reactors
-  uint64_t uring_sqes = 0;       // socket ops submitted through rings
   std::vector<uint64_t> thread_ops;  // frames decoded, per IO thread
 };
 

@@ -2,13 +2,8 @@
 // (fd, offset, length) reads and block until every one has completed, turning
 // N cache misses into one I/O wave instead of N serial preads.
 //
-// Two implementations behind one interface, chosen at construction:
-//   io_uring   one submission syscall per wave (raw io_uring_setup/enter —
-//              no liburing dependency). Compiled in when <linux/io_uring.h>
-//              exists and probed at runtime; a kernel or seccomp refusal
-//              falls back silently.
-//   threads    a small persistent pool of pread workers. Portable fallback;
-//              also what single-read fast paths use.
+// A one-read wave is served inline with pread; larger waves fan out over a
+// small persistent pool of pread workers, started by the first such wave.
 //
 // The backend is intentionally synchronous at the batch level (submit, wait,
 // return): the read path needs all blocks of a wave before it can resolve
@@ -42,10 +37,10 @@ struct IoRead {
 
 class IoBackend {
  public:
-  // `threads` sizes the pread worker pool (clamped to >= 1); when
-  // `try_io_uring` is set and the kernel cooperates, waves go through a ring
-  // instead and the workers stay parked.
-  explicit IoBackend(int threads = 2, bool try_io_uring = true);
+  // Width of the pread worker pool.
+  static constexpr int kWorkers = 2;
+
+  IoBackend();
   ~IoBackend();
   IoBackend(const IoBackend&) = delete;
   IoBackend& operator=(const IoBackend&) = delete;
@@ -54,8 +49,9 @@ class IoBackend {
   // land in each IoRead::status/out. Reads may complete in any order.
   void ReadBatch(const std::vector<IoRead*>& reads);
 
-  // True when waves are served by io_uring (probe succeeded).
-  bool using_io_uring() const { return ring_fd_ >= 0; }
+  // Always false: every wave goes through pread. Kept for callers that
+  // record which backend served a run.
+  bool using_io_uring() const { return false; }
 
   // Counters surfaced through StoreStats: batches issued, reads completed,
   // and the largest number of reads ever in flight at once.
@@ -73,38 +69,14 @@ class IoBackend {
   };
 
   void WorkerLoop();
-  void ReadBatchThreads(const std::vector<IoRead*>& reads);
-  void ReadBatchUring(const std::vector<IoRead*>& reads) EXCLUDES(ring_mu_);
   void NoteBatch(size_t n);
 
-  // io_uring state (ring_fd_ < 0 when unavailable). The ring is single-issuer:
-  // ring_mu_ serializes whole waves.
-  Mutex ring_mu_;
-  int ring_fd_ = -1;
-  unsigned sq_entries_ = 0;
-  unsigned cq_entries_ = 0;
-  void* sq_ring_ = nullptr;
-  size_t sq_ring_bytes_ = 0;
-  void* cq_ring_ = nullptr;
-  size_t cq_ring_bytes_ = 0;
-  void* sqes_ = nullptr;
-  size_t sqes_bytes_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned* sq_mask_ = nullptr;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned* cq_mask_ = nullptr;
-  void* cqes_ = nullptr;
-
-  // Thread-pool state.
   Mutex mu_;
   CondVar work_cv_;
   CondVar done_cv_;
   std::deque<WorkItem> queue_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_ GUARDED_BY(mu_);
 
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> reads_{0};

@@ -94,6 +94,9 @@ LsmStore::LsmStore(std::string dir, const LsmOptions& opts, std::shared_ptr<Buff
 
 StatusOr<std::unique_ptr<KVStore>> LsmStore::Open(const std::string& dir, const LsmOptions& opts,
                                                   std::shared_ptr<BufferPool> pool) {
+  if (opts.max_immutable_memtables < 1) {
+    return Status::InvalidArgument("max_immutable_memtables must be >= 1");
+  }
   GADGET_RETURN_IF_ERROR(CreateDirIfMissing(dir));
   std::unique_ptr<LsmStore> store(new LsmStore(dir, opts, std::move(pool)));
   GADGET_RETURN_IF_ERROR(store->Recover());
@@ -379,7 +382,7 @@ void LsmStore::CommitGroupLocked(Writer* w) {
   // overlaps the next group's WAL work.
   if (s.ok() && !closing_ && bg_error_.ok() &&
       mem_->ApproximateBytes() >= opts_.write_buffer_size &&
-      imm_.size() < static_cast<size_t>(std::max(1, opts_.max_immutable_memtables))) {
+      imm_.size() < static_cast<size_t>(opts_.max_immutable_memtables)) {
     Status rs = RotateMemTableLocked();
     if (!rs.ok() && bg_error_.ok()) {
       bg_error_ = rs;
@@ -389,7 +392,7 @@ void LsmStore::CommitGroupLocked(Writer* w) {
 }
 
 Status LsmStore::MakeRoomForWriteLocked() {
-  const size_t imm_cap = static_cast<size_t>(std::max(1, opts_.max_immutable_memtables));
+  const size_t imm_cap = static_cast<size_t>(opts_.max_immutable_memtables);
   bool slowdown_done = false;
   for (;;) {
     if (!bg_error_.ok()) {
@@ -431,15 +434,6 @@ Status LsmStore::MakeRoomForWriteLocked() {
     }
     GADGET_RETURN_IF_ERROR(RotateMemTableLocked());
     flush_cv_.SignalAll();
-    if (opts_.max_immutable_memtables <= 0) {
-      // Compatibility mode: behave like the old inline flush — the write
-      // that fills a memtable waits for it to reach L0.
-      while (!imm_.empty() && bg_error_.ok() && !closing_) {
-        auto t0 = MonoClock::now();
-        stall_cv_.Wait();
-        stats_.stall_micros += MicrosSince(t0);
-      }
-    }
   }
 }
 

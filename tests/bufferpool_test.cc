@@ -115,23 +115,6 @@ TEST(BufferPoolClockTest, ColdFramesRotateOutEvenly) {
   EXPECT_EQ(pool.evictions(), 64u - 8u);
 }
 
-TEST(BufferPoolTwoQueueTest, ScanResistance) {
-  BufferPoolOptions opts = TinyPool(8 * 1024);
-  opts.eviction = BufferPoolOptions::Eviction::kTwoQueue;
-  BufferPool pool(opts);
-  // Promote two frames to the protected list by touching them again.
-  pool.InsertBlock(1, 0, std::string(1024, 'h'));
-  pool.InsertBlock(1, 4096, std::string(1024, 'h'));
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 0)));
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 4096)));
-  // A long one-shot scan must churn probation, not the protected frames.
-  for (uint64_t i = 0; i < 100; ++i) {
-    pool.InsertBlock(2, i * 4096, std::string(1024, 's'));
-  }
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 0)));
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 4096)));
-}
-
 // --------------------------------------------------- concurrent pin/unpin
 
 TEST(BufferPoolConcurrencyTest, PinUnpinEraseFileRaces) {

@@ -273,11 +273,11 @@ TEST(RawSocketTest, FlagsUringSocketOpcodesOutsideNetDir) {
                       "raw-socket"));
   EXPECT_TRUE(HasRule(LintContent("src/a.cc", "op = IORING_OP_RECVMSG;\n"), "raw-socket"));
   EXPECT_TRUE(HasRule(LintContent("src/a.cc", "op = IORING_OP_WRITEV;\n"), "raw-socket"));
-  // The ring itself is sanctioned in the net dir.
-  EXPECT_FALSE(HasRule(LintContent("src/server/net/uring_socket.cc",
+  // Socket opcodes are sanctioned in the net dir.
+  EXPECT_FALSE(HasRule(LintContent("src/server/net/socket.cc",
                                    "sqe->opcode = IORING_OP_RECV;\n"),
                        "raw-socket"));
-  // File-I/O opcodes stay legal: the buffer pool's IoBackend uses them.
+  // File-I/O opcodes are not socket I/O.
   EXPECT_FALSE(HasRule(LintContent("src/stores/bufferpool/io_backend.cc",
                                    "sqe->opcode = IORING_OP_READ;\n"),
                        "raw-socket"));

@@ -466,13 +466,12 @@ void CheckBufferPoolBypass(std::string_view path,
 }
 
 // Raw socket syscalls and io_uring socket opcodes belong to src/server/net/:
-// every other layer talks through the net:: helpers / FramedConn /
-// UringSocket so framing, partial-write handling, EINTR retries and SIGPIPE
-// suppression are decided once. The call matcher requires a non-identifier
-// (and non `.`/`->`/`:`) character before the call so method calls like
-// conn->Send(...) never fire; the opcode matcher covers only the SOCKET
-// opcodes (IORING_OP_READ/WRITE stay legal for the buffer pool's file
-// backend).
+// every other layer talks through the net:: helpers / FramedConn so framing,
+// partial-write handling, EINTR retries and SIGPIPE suppression are decided
+// once. The call matcher requires a non-identifier (and non `.`/`->`/`:`)
+// character before the call so method calls like conn->Send(...) never fire;
+// the opcode matcher covers only the SOCKET opcodes (file opcodes such as
+// IORING_OP_READ/WRITE are not socket I/O).
 void CheckRawSocket(std::string_view path, const std::vector<std::string_view>& stripped_lines,
                     std::vector<Finding>* findings) {
   if (path.find("src/server/net/") != std::string_view::npos) {
@@ -496,8 +495,8 @@ void CheckRawSocket(std::string_view path, const std::vector<std::string_view>& 
     if (std::regex_search(line, m, kUringSocketOp)) {
       findings->push_back({std::string(path), static_cast<int>(i + 1), "raw-socket",
                            "io_uring socket opcode IORING_OP_" + m[1].str() +
-                               " outside src/server/net/; submit socket work through "
-                               "net::UringSocket so the epoll fallback and counters apply"});
+                               " outside src/server/net/ bypasses the service's socket "
+                               "helpers; socket I/O goes through src/server/net/"});
     }
   }
 }
