@@ -70,6 +70,15 @@ class RandomAccessFile {
   uint64_t size_;
 };
 
+// Positional I/O on a raw descriptor: transfers exactly n bytes at `offset`,
+// resuming after partial transfers and retrying EINTR. A read that reaches
+// end of file first is an IoError: every caller knows the exact length it
+// reads, so a short read means a truncated or corrupt file. These are the
+// only pread/pwrite loops in the tree (the btree page file, the FASTER log,
+// the buffer pool's IoBackend and RandomAccessFile all use them).
+Status PreadFully(int fd, char* data, size_t n, uint64_t offset);
+Status PwriteFully(int fd, const char* data, size_t n, uint64_t offset);
+
 // Whole-file helpers.
 Status WriteStringToFile(const std::string& path, std::string_view data, bool sync = false);
 Status ReadFileToString(const std::string& path, std::string* out);

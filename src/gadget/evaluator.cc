@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/stores/batch_coalescer.h"
+
 namespace gadget {
 namespace {
 
@@ -14,26 +16,6 @@ using Clock = std::chrono::steady_clock;
 inline uint64_t ElapsedNs(Clock::time_point a, Clock::time_point b) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
-
-// 4096-bit membership filter over a pending batch's keys. Never
-// false-negative, so a miss (the common case) skips the exact scan entirely;
-// sized so even a 256-key batch stays ~6% occupied and false-positive scans
-// are rare. Clearing is a 512-byte fill per flush — noise next to one store
-// crossing. This keeps the batched replay loop's conflict checks
-// allocation-free: a hash-set of encoded keys costs a node allocation per
-// buffered op, which is more than the batching is trying to amortize.
-struct KeyFilter {
-  uint64_t bits[64] = {};
-
-  static uint64_t HashOf(const StateKey& k) {
-    uint64_t h = k.hi * 0x9e3779b97f4a7c15ULL;
-    h ^= k.lo + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
-  }
-  void Add(uint64_t h) { bits[(h >> 6) & 63] |= 1ull << (h & 63); }
-  bool MayContain(uint64_t h) const { return ((bits[(h >> 6) & 63] >> (h & 63)) & 1) != 0; }
-  void Clear() { std::fill(std::begin(bits), std::end(bits), 0); }
-};
 
 // Collects per-interval TimelineSamples during one replay. The replay loops
 // feed it sampled latencies (RecordLatency) and signal after ops/not_found
@@ -194,191 +176,6 @@ class CheckpointDriver {
   uint64_t next_ = 0;
 };
 
-// Exact membership: filter first, linear scan of the (small) pending-key
-// vector only on a filter hit.
-inline bool BatchContains(const std::vector<StateKey>& keys, const KeyFilter& filter,
-                          const StateKey& k, uint64_t h) {
-  if (!filter.MayContain(h)) {
-    return false;
-  }
-  return std::find(keys.begin(), keys.end(), k) != keys.end();
-}
-
-// Batched replay: writes accumulate into a WriteBatch and gets into a
-// MultiGet group; each fills to options.batch_size before flushing.
-// Correctness rules (see ReplayOptions::batch_size):
-//   * a get whose key is in the pending write batch flushes the writes first
-//     (read-your-writes);
-//   * a write whose key is among the pending gets flushes the gets first
-//     (no write-after-read reordering);
-// so the two pending key sets are disjoint at all times and the flush order
-// between them is unobservable — ops on unrelated keys may commit out of
-// trace order, but no reordering crosses a same-key dependency.
-StatusOr<ReplayResult> ReplayBatched(const std::vector<StateAccess>& trace, KVStore* store,
-                                     const ReplayOptions& options) {
-  ReplayResult result;
-  TimelineCollector tl(options, store, &result);
-  CheckpointDriver cp(options, store, &result, &tl);
-  const size_t batch_size = static_cast<size_t>(options.batch_size);
-  const uint64_t limit =
-      options.max_ops == 0 ? trace.size() : std::min<uint64_t>(options.max_ops, trace.size());
-  const double pace_ns =
-      options.service_rate_ops_per_sec > 0 ? 1e9 / options.service_rate_ops_per_sec : 0;
-  const uint64_t sample_every = std::max<uint64_t>(options.latency_sample_every, 1);
-  uint64_t until_sample = 0;
-
-  WriteBatch wb;
-  std::vector<StateKey> write_keys;  // raw keys currently buffered in wb
-  KeyFilter write_filter;
-  std::vector<StateKey> get_state_keys;  // raw keys of the pending gets
-  KeyFilter get_filter;
-  // Encoded pending-get keys, reused via the n_gets watermark so each slot's
-  // 16-byte heap buffer survives across flushes (16 bytes exceeds SSO).
-  std::vector<std::string> get_keys;
-  size_t n_gets = 0;
-  std::vector<std::string> get_values;
-  std::vector<Status> get_statuses;
-  std::string key;
-  std::string value_buf;
-
-  auto flush_gets = [&]() -> Status {
-    if (n_gets == 0) {
-      return Status::Ok();
-    }
-    get_keys.resize(n_gets);  // shrink-only; kept slots keep their buffers
-    const bool sampled = until_sample == 0;
-    until_sample = sampled ? sample_every - 1 : until_sample - 1;
-    Clock::time_point t0;
-    if (sampled) {
-      t0 = Clock::now();
-    }
-    Status s = store->MultiGet(get_keys, &get_values, &get_statuses, options.read_options);
-    if (!s.ok()) {
-      return s;  // per-key NotFound stays in statuses; this is a real error
-    }
-    if (sampled) {
-      uint64_t ns = ElapsedNs(t0, Clock::now());
-      result.latency_ns.Record(ns);
-      result.read_latency_ns.Record(ns);
-      tl.RecordLatency(ns, /*is_read=*/true);
-    }
-    for (const Status& st : get_statuses) {
-      if (st.IsNotFound()) {
-        ++result.not_found;
-      }
-    }
-    result.ops += n_gets;
-    n_gets = 0;
-    get_state_keys.clear();
-    get_filter.Clear();
-    tl.OnProgress();
-    return Status::Ok();
-  };
-  auto flush_writes = [&]() -> Status {
-    if (wb.empty()) {
-      return Status::Ok();
-    }
-    const bool sampled = until_sample == 0;
-    until_sample = sampled ? sample_every - 1 : until_sample - 1;
-    Clock::time_point t0;
-    if (sampled) {
-      t0 = Clock::now();
-    }
-    GADGET_RETURN_IF_ERROR(store->Write(wb));
-    if (sampled) {
-      uint64_t ns = ElapsedNs(t0, Clock::now());
-      result.latency_ns.Record(ns);
-      result.write_latency_ns.Record(ns);
-      tl.RecordLatency(ns, /*is_read=*/false);
-    }
-    result.ops += wb.size();
-    wb.Clear();
-    write_keys.clear();
-    write_filter.Clear();
-    tl.OnProgress();
-    return Status::Ok();
-  };
-
-  auto start = Clock::now();
-  tl.Start(start);
-  cp.Start(start);
-  for (uint64_t i = 0; i < limit; ++i) {
-    // A due checkpoint first flushes BOTH pending buffers so the image is an
-    // exact trace prefix (the buffers are key-disjoint; either flush order
-    // is correct), then cuts it. result.ops only advances at flushes, so
-    // like timeline intervals the cut can overshoot its boundary by up to
-    // batch_size - 1 ops.
-    if (cp.Due()) {
-      GADGET_RETURN_IF_ERROR(flush_writes());
-      GADGET_RETURN_IF_ERROR(flush_gets());
-      GADGET_RETURN_IF_ERROR(cp.Take());
-    }
-    const StateAccess& a = trace[i];
-    if (pace_ns > 0) {
-      auto due =
-          start + std::chrono::nanoseconds(static_cast<uint64_t>(pace_ns * static_cast<double>(i)));
-      std::this_thread::sleep_until(due);
-    }
-    StateKey k = a.key;
-    k.hi += options.key_hi_offset;
-    const uint64_t h = KeyFilter::HashOf(k);
-    if (a.op == OpType::kGet) {
-      if (!wb.empty() && BatchContains(write_keys, write_filter, k, h)) {
-        GADGET_RETURN_IF_ERROR(flush_writes());  // read-your-writes
-      }
-      if (n_gets == get_keys.size()) {
-        get_keys.emplace_back();
-      }
-      EncodeStateKeyTo(k, &get_keys[n_gets]);
-      ++n_gets;
-      get_state_keys.push_back(k);
-      get_filter.Add(h);
-      if (n_gets >= batch_size) {
-        GADGET_RETURN_IF_ERROR(flush_gets());
-      }
-      continue;
-    }
-    if (n_gets != 0 && BatchContains(get_state_keys, get_filter, k, h)) {
-      GADGET_RETURN_IF_ERROR(flush_gets());  // a pending get precedes this write
-    }
-    EncodeStateKeyTo(k, &key);
-    if (a.value_size > value_buf.size()) {
-      value_buf.resize(a.value_size, 'v');
-    }
-    std::string_view value(value_buf.data(), a.value_size);
-    switch (a.op) {
-      case OpType::kPut:
-        wb.Put(key, value);
-        break;
-      case OpType::kMerge:
-        // Engines without native merge apply this as an eager RMW, the same
-        // translation the single-op path makes.
-        wb.Merge(key, value);
-        break;
-      case OpType::kDelete:
-        wb.Delete(key);
-        break;
-      case OpType::kGet:
-        break;  // handled above
-    }
-    write_keys.push_back(k);
-    write_filter.Add(h);
-    if (wb.size() >= batch_size) {
-      GADGET_RETURN_IF_ERROR(flush_writes());
-    }
-  }
-  // Trailing partial batches: the pending gets and pending writes are
-  // key-disjoint (both conflict rules above), so either order is correct.
-  GADGET_RETURN_IF_ERROR(flush_writes());
-  GADGET_RETURN_IF_ERROR(flush_gets());
-  auto end = Clock::now();
-  tl.Finish(end);
-  result.elapsed_seconds = static_cast<double>(ElapsedNs(start, end)) / 1e9;
-  result.throughput_ops_per_sec =
-      result.elapsed_seconds > 0 ? static_cast<double>(result.ops) / result.elapsed_seconds : 0;
-  return result;
-}
-
 }  // namespace
 
 void TimelineSample::MergeFrom(const TimelineSample& other) {
@@ -424,18 +221,23 @@ std::string ReplayResult::Summary() const {
   return std::string(buf);
 }
 
+// One loop serves both modes. With batch_size > 1 the trace streams through
+// a BatchCoalescer, which owns the pending WriteBatch and MultiGet keys and
+// both same-key conflict rules (see ReplayOptions::batch_size); its flush
+// actions are the store calls. Otherwise every access is its own store call.
+// Either way a store call is timed when sampled, then its ops are counted.
 StatusOr<ReplayResult> ReplayTrace(const std::vector<StateAccess>& trace, KVStore* store,
                                    const ReplayOptions& options) {
-  if (options.batch_size > 1) {
-    return ReplayBatched(trace, store, options);
-  }
   ReplayResult result;
   TimelineCollector tl(options, store, &result);
   CheckpointDriver cp(options, store, &result, &tl);
   const bool has_merge = store->supports_merge();
+  const bool batched = options.batch_size > 1;
   // Reusable synthetic value buffer; contents are irrelevant, size matters.
   std::string value_buf;
   std::string read_buf;
+  std::vector<std::string> get_values;
+  std::vector<Status> get_statuses;
 
   const uint64_t limit =
       options.max_ops == 0 ? trace.size() : std::min<uint64_t>(options.max_ops, trace.size());
@@ -445,16 +247,60 @@ StatusOr<ReplayResult> ReplayTrace(const std::vector<StateAccess>& trace, KVStor
   uint64_t until_sample = 0;  // countdown: avoids a divide per op
   std::string key;  // reused: EncodeStateKeyTo avoids an allocation per op
 
+  auto timed = [&](bool is_read, uint64_t ops, auto&& call) -> Status {
+    const bool sampled = until_sample == 0;
+    until_sample = sampled ? sample_every - 1 : until_sample - 1;
+    Clock::time_point t0;
+    if (sampled) {
+      t0 = Clock::now();
+    }
+    GADGET_RETURN_IF_ERROR(call());
+    if (sampled) {
+      uint64_t ns = ElapsedNs(t0, Clock::now());
+      result.latency_ns.Record(ns);
+      (is_read ? result.read_latency_ns : result.write_latency_ns).Record(ns);
+      tl.RecordLatency(ns, is_read);
+    }
+    result.ops += ops;
+    tl.OnProgress();
+    return Status::Ok();
+  };
+  BatchCoalescer batch(
+      static_cast<size_t>(options.batch_size),
+      [&](const WriteBatch& wb) {
+        return timed(/*is_read=*/false, wb.size(), [&] { return store->Write(wb); });
+      },
+      [&](const std::vector<std::string>& keys) {
+        return timed(/*is_read=*/true, keys.size(), [&]() -> Status {
+          // Per-key NotFound stays in the statuses; a non-Ok return is a
+          // real error.
+          GADGET_RETURN_IF_ERROR(
+              store->MultiGet(keys, &get_values, &get_statuses, options.read_options));
+          for (const Status& st : get_statuses) {
+            if (st.IsNotFound()) {
+              ++result.not_found;
+            }
+          }
+          return Status::Ok();
+        });
+      });
+
   auto start = Clock::now();
   tl.Start(start);
   cp.Start(start);
   for (uint64_t i = 0; i < limit; ++i) {
+    // A due checkpoint first flushes both pending sides, so the image is an
+    // exact trace prefix. result.ops only advances at flushes, so like
+    // timeline intervals a batched cut can overshoot its boundary by up to
+    // batch_size - 1 ops.
     if (cp.Due()) {
-      GADGET_RETURN_IF_ERROR(cp.Take());  // store state == trace[0, i) exactly
+      GADGET_RETURN_IF_ERROR(batch.Flush());
+      GADGET_RETURN_IF_ERROR(cp.Take());
     }
     const StateAccess& a = trace[i];
     if (pace_ns > 0) {
-      auto due = start + std::chrono::nanoseconds(static_cast<uint64_t>(pace_ns * static_cast<double>(i)));
+      auto due =
+          start + std::chrono::nanoseconds(static_cast<uint64_t>(pace_ns * static_cast<double>(i)));
       std::this_thread::sleep_until(due);
     }
     StateKey k = a.key;
@@ -465,49 +311,34 @@ StatusOr<ReplayResult> ReplayTrace(const std::vector<StateAccess>& trace, KVStor
     }
     std::string_view value(value_buf.data(), a.value_size);
 
-    const bool sampled = until_sample == 0;
-    until_sample = sampled ? sample_every - 1 : until_sample - 1;
-    Clock::time_point op_start;
-    if (sampled) {
-      op_start = Clock::now();
+    if (batched) {
+      // A batched merge on an engine without native merge applies as an
+      // eager RMW, the same translation the single-op path makes below.
+      GADGET_RETURN_IF_ERROR(a.op == OpType::kGet ? batch.AddGet(key)
+                                                  : batch.AddWrite(ToBatchOp(a.op), key, value));
+      continue;
     }
-    Status s;
-    bool is_read = false;
-    switch (a.op) {
-      case OpType::kGet:
-        is_read = true;
-        s = store->Get(key, &read_buf, options.read_options);
-        if (s.IsNotFound()) {
-          ++result.not_found;
-          s = Status::Ok();
+    GADGET_RETURN_IF_ERROR(timed(a.op == OpType::kGet, 1, [&]() -> Status {
+      switch (a.op) {
+        case OpType::kGet: {
+          Status s = store->Get(key, &read_buf, options.read_options);
+          if (s.IsNotFound()) {
+            ++result.not_found;
+            return Status::Ok();
+          }
+          return s;
         }
-        break;
-      case OpType::kPut:
-        s = store->Put(key, value);
-        break;
-      case OpType::kMerge:
-        s = has_merge ? store->Merge(key, value) : store->ReadModifyWrite(key, value);
-        break;
-      case OpType::kDelete:
-        s = store->Delete(key);
-        break;
-    }
-    if (!s.ok()) {
-      return s;
-    }
-    if (sampled) {
-      uint64_t ns = ElapsedNs(op_start, Clock::now());
-      result.latency_ns.Record(ns);
-      if (is_read) {
-        result.read_latency_ns.Record(ns);
-      } else {
-        result.write_latency_ns.Record(ns);
+        case OpType::kPut:
+          return store->Put(key, value);
+        case OpType::kMerge:
+          return has_merge ? store->Merge(key, value) : store->ReadModifyWrite(key, value);
+        case OpType::kDelete:
+          return store->Delete(key);
       }
-      tl.RecordLatency(ns, is_read);
-    }
-    ++result.ops;
-    tl.OnProgress();
+      return Status::Internal("unknown op");
+    }));
   }
+  GADGET_RETURN_IF_ERROR(batch.Flush());  // trailing partial batches
   auto end = Clock::now();
   tl.Finish(end);
   result.elapsed_seconds = static_cast<double>(ElapsedNs(start, end)) / 1e9;

@@ -34,12 +34,15 @@ struct ReplayOptions {
   uint64_t key_hi_offset = 0;
   // Coalesce up to this many operations into one Write(WriteBatch) /
   // MultiGet call (1 = the classic one-call-per-op path, bit-for-bit
-  // unchanged). Same-key ordering is preserved: a get whose key sits in the
-  // pending write batch flushes the writes first (read-your-writes), and a
-  // write whose key is among the pending gets flushes the gets first, so the
-  // two pending key sets stay disjoint and no reordering ever crosses a
-  // same-key dependency — only ops on unrelated keys commit out of trace
-  // order, which no single-writer-per-key workload can observe.
+  // unchanged; larger values are capped at BatchCoalescer::kMaxPending,
+  // 256). The coalescing is src/stores/batch_coalescer.h, the same code the
+  // server's shard workers use. Same-key ordering is preserved: a get whose
+  // key sits in the pending write batch flushes the writes first
+  // (read-your-writes), and a write whose key is among the pending gets
+  // flushes the gets first, so the two pending key sets stay disjoint and no
+  // reordering ever crosses a same-key dependency — only ops on unrelated
+  // keys commit out of trace order, which no single-writer-per-key workload
+  // can observe.
   // With batching, latency histograms record one sample per *flush* (the
   // latency an operator sees for the whole batch); ops/throughput still
   // count every operation.
@@ -149,6 +152,15 @@ struct ReplayResult {
 
   std::string Summary() const;
 };
+
+// The WriteBatch entry for a put/merge/delete access (not for a get). Merge
+// stays a merge: engines without native merge apply it as an eager
+// read-modify-write.
+inline WriteBatch::Op ToBatchOp(OpType op) {
+  return op == OpType::kPut     ? WriteBatch::Op::kPut
+         : op == OpType::kMerge ? WriteBatch::Op::kMerge
+                                : WriteBatch::Op::kDelete;
+}
 
 // Replays `trace` against `store`. Values are deterministic synthetic bytes
 // of each access's value_size. Returns IoError/Corruption if the store

@@ -1,8 +1,10 @@
 #include "src/gadget/multi.h"
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
+#include "src/common/hash.h"
 #include "src/streams/state_access.h"
 
 namespace gadget {
@@ -89,6 +91,24 @@ StatusOr<ConcurrentReplayResult> ReplayConcurrently(
   return RunInstances(ptrs, store, options, namespace_stride);
 }
 
+std::vector<std::vector<StateAccess>> PartitionTrace(
+    const std::vector<StateAccess>& trace, uint64_t limit, unsigned n,
+    const std::function<void(std::string_view encoded_key)>& on_key) {
+  std::vector<std::vector<StateAccess>> parts(n);
+  for (auto& part : parts) {
+    part.reserve(static_cast<size_t>(limit) / n + 1);
+  }
+  std::string key;
+  for (uint64_t i = 0; i < limit; ++i) {
+    EncodeStateKeyTo(trace[i].key, &key);
+    if (on_key) {
+      on_key(key);
+    }
+    parts[Hash64(key) % n].push_back(trace[i]);
+  }
+  return parts;
+}
+
 StatusOr<ConcurrentReplayResult> ReplaySharded(const std::vector<StateAccess>& trace,
                                                KVStore* store, unsigned num_threads,
                                                const ReplayOptions& options) {
@@ -101,17 +121,7 @@ StatusOr<ConcurrentReplayResult> ReplaySharded(const std::vector<StateAccess>& t
   const uint64_t limit = options.max_ops == 0
                              ? trace.size()
                              : std::min<uint64_t>(options.max_ops, trace.size());
-  // Hash-partition by key: every access to a key lands in the same shard, in
-  // trace order, so per-key operation order (and thus final state) is
-  // preserved exactly.
-  std::vector<std::vector<StateAccess>> shards(num_threads);
-  for (auto& shard : shards) {
-    shard.reserve(static_cast<size_t>(limit) / num_threads + 1);
-  }
-  StateKeyHash hasher;
-  for (uint64_t i = 0; i < limit; ++i) {
-    shards[hasher(trace[i].key) % num_threads].push_back(trace[i]);
-  }
+  const std::vector<std::vector<StateAccess>> shards = PartitionTrace(trace, limit, num_threads);
   ReplayOptions opts = options;
   opts.max_ops = 0;  // the partition above already enforces the total budget
   std::vector<const std::vector<StateAccess>*> ptrs;

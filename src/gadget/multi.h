@@ -8,6 +8,9 @@
 #ifndef GADGET_GADGET_MULTI_H_
 #define GADGET_GADGET_MULTI_H_
 
+#include <cstdint>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "src/gadget/evaluator.h"
@@ -40,10 +43,23 @@ StatusOr<ConcurrentReplayResult> ReplayConcurrently(
     const std::vector<std::vector<StateAccess>>& traces, KVStore* store,
     const ReplayOptions& options = {}, uint64_t namespace_stride = 1ull << 32);
 
-// Partitions ONE trace across `num_threads` workers by key hash and replays
-// the shards concurrently against `store`. All accesses to a given key stay
-// on one thread in their original order, so the single-writer-per-key
-// invariant holds and the final store state equals a sequential replay.
+// Splits trace[0, limit) into `n` partitions by key: an access goes to
+// partition Hash64(EncodeStateKey(key)) % n. Every access to a key lands in
+// one partition, in trace order, so replaying the partitions concurrently
+// preserves per-key order. This is the one split both replay paths use:
+// ReplaySharded in process and RunLoadgen over the wire. `on_key`, when set,
+// sees each access's encoded key, so a caller that needs it too (loadgen's
+// router histogram) encodes each key once. `limit` must not exceed
+// trace.size(); `n` must be >= 1.
+std::vector<std::vector<StateAccess>> PartitionTrace(
+    const std::vector<StateAccess>& trace, uint64_t limit, unsigned n,
+    const std::function<void(std::string_view encoded_key)>& on_key = nullptr);
+
+// Partitions ONE trace across `num_threads` workers with PartitionTrace and
+// replays the partitions concurrently against `store`. All accesses to a
+// given key stay on one thread in their original order, so the
+// single-writer-per-key invariant holds and the final store state equals a
+// sequential replay.
 // This is the Fig. 14 thread-sweep mode: one workload, one store, 1..N
 // threads. options.max_ops bounds the TOTAL op count across shards.
 StatusOr<ConcurrentReplayResult> ReplaySharded(const std::vector<StateAccess>& trace,

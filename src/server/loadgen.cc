@@ -5,7 +5,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "src/common/hash.h"
+#include "src/gadget/multi.h"
 #include "src/server/client.h"
 #include "src/server/router.h"
 
@@ -79,9 +79,8 @@ Status DrainOne(net::FramedConn* conn, std::unordered_map<uint32_t, Pending>* in
 }
 
 // One client thread's replay of its key-partition of the trace.
-void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int thread_index,
-                     int clients, const LoadgenOptions& options, Client::Lease lease,
-                     ThreadState* st) {
+void ReplayPartition(const std::vector<StateAccess>& part, const LoadgenOptions& options,
+                     Client::Lease lease, ThreadState* st) {
   net::FramedConn* conn = lease.conn();
   std::unordered_map<uint32_t, Pending> in_flight;
   WriteBatch wb;
@@ -125,15 +124,8 @@ void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int 
 
   auto run = [&]() -> Status {
     const auto start = Clock::now();
-    for (uint64_t i = 0; i < limit; ++i) {
-      const StateAccess& a = trace[i];
+    for (const StateAccess& a : part) {
       EncodeStateKeyTo(a.key, &key);
-      // Key-hash partition: every key belongs to exactly one thread, so
-      // per-key trace order survives the fan-out.
-      if (Hash64(key) % static_cast<uint64_t>(clients) !=
-          static_cast<uint64_t>(thread_index)) {
-        continue;
-      }
       if (a.op == OpType::kGet) {
         GADGET_RETURN_IF_ERROR(flush_writes());  // kind switch closes the frame
         get_keys.push_back(key);
@@ -146,20 +138,7 @@ void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int 
       if (a.value_size > value_buf.size()) {
         value_buf.resize(a.value_size, 'v');  // the evaluator's synthetic values
       }
-      std::string_view value(value_buf.data(), a.value_size);
-      switch (a.op) {
-        case OpType::kPut:
-          wb.Put(key, value);
-          break;
-        case OpType::kMerge:
-          wb.Merge(key, value);
-          break;
-        case OpType::kDelete:
-          wb.Delete(key);
-          break;
-        case OpType::kGet:
-          break;  // handled above
-      }
+      wb.Append(ToBatchOp(a.op), key, std::string_view(value_buf.data(), a.value_size));
       if (wb.size() >= options.batch_size) {
         GADGET_RETURN_IF_ERROR(flush_writes());
       }
@@ -201,14 +180,17 @@ StatusOr<LoadgenResult> RunLoadgen(const std::vector<StateAccess>& trace,
       options.max_ops == 0 ? trace.size() : std::min<uint64_t>(options.max_ops, trace.size());
 
   LoadgenResult out;
-  // Client-side routing histogram: what the server's shards are about to see.
+  // Client-side routing histogram (what the server's shards are about to
+  // see), filled from the same key encoding that partitions the trace across
+  // client threads. Every key belongs to exactly one thread, so per-key
+  // trace order survives the fan-out.
   ConsistentHashRouter router(options.shards);
   out.shard_ops.assign(static_cast<size_t>(options.shards), 0);
-  std::string key;
-  for (uint64_t i = 0; i < limit; ++i) {
-    EncodeStateKeyTo(trace[i].key, &key);
-    ++out.shard_ops[static_cast<size_t>(router.Route(key))];
-  }
+  const std::vector<std::vector<StateAccess>> parts =
+      PartitionTrace(trace, limit, static_cast<unsigned>(options.clients),
+                     [&](std::string_view key) {
+                       ++out.shard_ops[static_cast<size_t>(router.Route(key))];
+                     });
   uint64_t max_ops = 0;
   uint64_t total_ops = 0;
   for (uint64_t n : out.shard_ops) {
@@ -224,7 +206,7 @@ StatusOr<LoadgenResult> RunLoadgen(const std::vector<StateAccess>& trace,
   threads.reserve(states.size());
   for (int t = 0; t < options.clients; ++t) {
     threads.emplace_back([&, t] {
-      ReplayPartition(trace, limit, t, options.clients, options, (*client)->AcquireLease(),
+      ReplayPartition(parts[static_cast<size_t>(t)], options, (*client)->AcquireLease(),
                       &states[static_cast<size_t>(t)]);
     });
   }

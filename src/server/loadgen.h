@@ -1,10 +1,11 @@
 // Wire-level load generator for the store service (DESIGN.md §6).
 //
 // RunLoadgen replays a Gadget access trace against a running server from
-// `clients` threads, each owning one pooled connection. The trace is
-// partitioned by key hash — every key's operations land on exactly one
-// client thread, in trace order, so per-key ordering survives the fan-out
-// (the same invariant ReplaySharded relies on in-process). Each thread
+// `clients` threads, each owning one pooled connection. Before the threads
+// start, the trace is split by PartitionTrace (src/gadget/multi.h), the same
+// key-hash split ReplaySharded uses in process: every key's operations land
+// on exactly one client thread, in trace order, so per-key ordering survives
+// the fan-out. Each thread
 // coalesces runs of consecutive writes into WRITE_BATCH frames and runs of
 // consecutive reads into MULTI_GET frames (a kind switch closes the pending
 // frame, which trivially preserves intra-thread order), and keeps up to

@@ -13,7 +13,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/json.h"
@@ -21,6 +20,7 @@
 #include "src/common/mutex.h"
 #include "src/server/net/socket.h"
 #include "src/server/wire.h"
+#include "src/stores/batch_coalescer.h"
 
 namespace gadget {
 namespace wire {
@@ -601,18 +601,7 @@ bool Server::Impl::DecodeBurst(IoThread& t, const std::shared_ptr<Conn>& conn) {
             it->second = per_shard[static_cast<size_t>(shard)].size() - 1;
             ++parts;
           }
-          WorkItem& part = per_shard[static_cast<size_t>(shard)][it->second];
-          switch (e.op) {
-            case WriteBatch::Op::kPut:
-              part.batch.Put(e.key, e.value);
-              break;
-            case WriteBatch::Op::kMerge:
-              part.batch.Merge(e.key, e.value);
-              break;
-            case WriteBatch::Op::kDelete:
-              part.batch.Delete(e.key);
-              break;
-          }
+          per_shard[static_cast<size_t>(shard)][it->second].batch.Append(e.op, e.key, e.value);
         }
         {
           MutexLock lock(&join->mu);
@@ -695,158 +684,127 @@ void Server::Impl::ExecuteTask(int shard, ShardTask& task) {
   std::string out;  // responses for this burst, queued once at the end
   uint64_t out_frames = 0;
 
-  // Coalescing state: consecutive simple writes build one WriteBatch,
-  // consecutive GETs build one MultiGet. The conflict rules below flush one
-  // side before the other touches the same key, which keeps the invariant
-  // wkeys ∩ rkeys = ∅ — so the final flush order cannot change any result.
-  WriteBatch wb;
+  // Single ops coalesce into one WriteBatch / MultiGet through the shared
+  // BatchCoalescer, which owns the same-key conflict rules; the flush actions
+  // here only answer each coalesced request. Store errors become ERROR
+  // frames, so neither action fails. Each id is queued before its op joins
+  // the coalescer, because joining can flush that op's own side.
   std::vector<uint32_t> wids;
-  std::unordered_set<std::string> wkeys;
-  std::vector<std::string> gkeys;
   std::vector<uint32_t> gids;
-  std::unordered_set<std::string> rkeys;
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  BatchCoalescer batch(
+      BatchCoalescer::kMaxPending,
+      [&](const WriteBatch& wb) {
+        const Status s = store->Write(wb);
+        for (uint32_t id : wids) {
+          if (s.ok()) {
+            AppendOkResponse(&out, id);
+          } else {
+            AppendErrorResponse(&out, id, s.ToString());
+          }
+        }
+        out_frames += wids.size();
+        wids.clear();
+        return Status::Ok();
+      },
+      [&](const std::vector<std::string>& keys) {
+        // Per-key statuses carry the outcome; the aggregate return repeats the
+        // first non-NotFound error. status intentionally ignored: per-key below.
+        (void)store->MultiGet(keys, &values, &statuses);
+        for (size_t i = 0; i < gids.size(); ++i) {
+          if (statuses[i].ok()) {
+            AppendValueResponse(&out, gids[i], values[i]);
+          } else if (statuses[i].IsNotFound()) {
+            AppendNotFoundResponse(&out, gids[i]);
+          } else {
+            AppendErrorResponse(&out, gids[i], statuses[i].ToString());
+          }
+        }
+        out_frames += gids.size();
+        gids.clear();
+        return Status::Ok();
+      });
 
-  auto flush_writes = [&]() {
-    if (wids.empty()) {
-      return;
-    }
-    const Status s = store->Write(wb);
-    for (uint32_t id : wids) {
-      if (s.ok()) {
-        AppendOkResponse(&out, id);
-      } else {
-        AppendErrorResponse(&out, id, s.ToString());
-      }
-    }
-    out_frames += wids.size();
-    wb.Clear();
-    wids.clear();
-    wkeys.clear();
-  };
-  auto flush_reads = [&]() {
-    if (gids.empty()) {
-      return;
-    }
-    std::vector<std::string> values;
-    std::vector<Status> statuses;
-    // Per-key statuses carry the outcome; the aggregate return repeats the
-    // first non-NotFound error. status intentionally ignored: per-key below.
-    (void)store->MultiGet(gkeys, &values, &statuses);
-    for (size_t i = 0; i < gids.size(); ++i) {
-      if (statuses[i].ok()) {
-        AppendValueResponse(&out, gids[i], values[i]);
-      } else if (statuses[i].IsNotFound()) {
-        AppendNotFoundResponse(&out, gids[i]);
-      } else {
-        AppendErrorResponse(&out, gids[i], statuses[i].ToString());
-      }
-    }
-    out_frames += gids.size();
-    gkeys.clear();
-    gids.clear();
-    rkeys.clear();
-  };
-
-  for (WorkItem& item : task.items) {
-    switch (item.type) {
-      case MsgType::kPut:
-      case MsgType::kMerge:
-      case MsgType::kDelete:
-        if (rkeys.count(item.key) != 0) {
-          flush_reads();  // the pending read must see the pre-write value
-        }
-        if (item.type == MsgType::kPut) {
-          wb.Put(item.key, item.value);
-        } else if (item.type == MsgType::kMerge) {
-          wb.Merge(item.key, item.value);
-        } else {
-          wb.Delete(item.key);
-        }
-        wkeys.insert(std::move(item.key));
-        wids.push_back(item.id);
-        break;
-      case MsgType::kGet:
-        if (wkeys.count(item.key) != 0) {
-          flush_writes();  // read-your-writes: the GET must see the pending write
-        }
-        rkeys.insert(item.key);
-        gkeys.push_back(std::move(item.key));
-        gids.push_back(item.id);
-        break;
-      case MsgType::kMultiGet: {
-        for (const std::string& k : item.keys) {
-          if (wkeys.count(k) != 0) {
-            flush_writes();
-            break;
-          }
-        }
-        std::vector<std::string> values;
-        std::vector<Status> statuses;
-        // status intentionally ignored: per-key statuses are authoritative.
-        (void)store->MultiGet(item.keys, &values, &statuses);
-        bool done = false;
-        std::string join_out;
-        {
-          MutexLock lock(&item.mjoin->mu);
-          for (size_t i = 0; i < item.positions.size(); ++i) {
-            item.mjoin->statuses[item.positions[i]] = statuses[i];
-            item.mjoin->values[item.positions[i]] = std::move(values[i]);
-          }
-          done = (--item.mjoin->remaining == 0);
-          if (done) {
-            AppendMultiResponse(&join_out, item.mjoin->id, item.mjoin->statuses,
-                                item.mjoin->values);
-          }
-        }
-        if (done) {
-          item.mjoin->conn->Send(join_out, 1, /*may_block=*/true,
-                                 options.conn_outq_limit, &net);
-        }
-        break;
-      }
-      case MsgType::kWriteBatch: {
-        bool flushed_w = false;
-        for (size_t i = 0; i < item.batch.size(); ++i) {
-          const std::string& k = item.batch.entry(i).key;
-          if (!flushed_w && wkeys.count(k) != 0) {
-            flush_writes();  // earlier pending writes apply first
-            flushed_w = true;
-          }
-          if (rkeys.count(k) != 0) {
-            flush_reads();  // earlier pending reads see the pre-batch value
-          }
-        }
-        const Status s = store->Write(item.batch);
-        bool done = false;
-        std::string join_out;
-        {
-          MutexLock lock(&item.bjoin->mu);
-          if (!s.ok() && item.bjoin->error.ok()) {
-            item.bjoin->error = s;
-          }
-          done = (--item.bjoin->remaining == 0);
-          if (done) {
-            if (item.bjoin->error.ok()) {
-              AppendOkResponse(&join_out, item.bjoin->id);
-            } else {
-              AppendErrorResponse(&join_out, item.bjoin->id, item.bjoin->error.ToString());
+  auto run = [&]() -> Status {
+    for (WorkItem& item : task.items) {
+      switch (item.type) {
+        case MsgType::kPut:
+          wids.push_back(item.id);
+          GADGET_RETURN_IF_ERROR(batch.AddWrite(WriteBatch::Op::kPut, item.key, item.value));
+          break;
+        case MsgType::kMerge:
+          wids.push_back(item.id);
+          GADGET_RETURN_IF_ERROR(batch.AddWrite(WriteBatch::Op::kMerge, item.key, item.value));
+          break;
+        case MsgType::kDelete:
+          wids.push_back(item.id);
+          GADGET_RETURN_IF_ERROR(batch.AddWrite(WriteBatch::Op::kDelete, item.key, {}));
+          break;
+        case MsgType::kGet:
+          gids.push_back(item.id);
+          GADGET_RETURN_IF_ERROR(batch.AddGet(item.key));
+          break;
+        case MsgType::kMultiGet: {
+          GADGET_RETURN_IF_ERROR(batch.BeforeMultiGet(item.keys));
+          // status intentionally ignored: per-key statuses are authoritative.
+          (void)store->MultiGet(item.keys, &values, &statuses);
+          bool done = false;
+          std::string join_out;
+          {
+            MutexLock lock(&item.mjoin->mu);
+            for (size_t i = 0; i < item.positions.size(); ++i) {
+              item.mjoin->statuses[item.positions[i]] = statuses[i];
+              item.mjoin->values[item.positions[i]] = std::move(values[i]);
+            }
+            done = (--item.mjoin->remaining == 0);
+            if (done) {
+              AppendMultiResponse(&join_out, item.mjoin->id, item.mjoin->statuses,
+                                  item.mjoin->values);
             }
           }
+          if (done) {
+            item.mjoin->conn->Send(join_out, 1, /*may_block=*/true,
+                                   options.conn_outq_limit, &net);
+          }
+          break;
         }
-        if (done) {
-          item.bjoin->conn->Send(join_out, 1, /*may_block=*/true,
-                                 options.conn_outq_limit, &net);
+        case MsgType::kWriteBatch: {
+          GADGET_RETURN_IF_ERROR(batch.BeforeWrite(item.batch));
+          const Status s = store->Write(item.batch);
+          bool done = false;
+          std::string join_out;
+          {
+            MutexLock lock(&item.bjoin->mu);
+            if (!s.ok() && item.bjoin->error.ok()) {
+              item.bjoin->error = s;
+            }
+            done = (--item.bjoin->remaining == 0);
+            if (done) {
+              if (item.bjoin->error.ok()) {
+                AppendOkResponse(&join_out, item.bjoin->id);
+              } else {
+                AppendErrorResponse(&join_out, item.bjoin->id, item.bjoin->error.ToString());
+              }
+            }
+          }
+          if (done) {
+            item.bjoin->conn->Send(join_out, 1, /*may_block=*/true,
+                                   options.conn_outq_limit, &net);
+          }
+          break;
         }
-        break;
+        default:
+          AppendErrorResponse(&out, item.id, "unroutable request type");
+          ++out_frames;
+          break;
       }
-      default:
-        AppendErrorResponse(&out, item.id, "unroutable request type");
-        ++out_frames;
-        break;
     }
-  }
-  flush_writes();
-  flush_reads();
+    return batch.Flush();
+  };
+  // status intentionally ignored: both flush actions return Ok (store errors
+  // went out as ERROR frames), so the coalescer cannot fail.
+  (void)run();
   task.conn->Send(out, out_frames, /*may_block=*/true,
                   options.conn_outq_limit, &net);
 }

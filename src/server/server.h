@@ -10,9 +10,11 @@
 //     dispatching.
 //   * ONE worker thread per shard drains that shard's task queue. A task is
 //     a burst of requests from one connection; the worker coalesces it into
-//     stripe-friendly WriteBatch / MultiGet calls (same read-your-writes
-//     conflict rules as the evaluator's ReplayBatched) so a deep client
-//     pipeline becomes one store crossing per shard per burst.
+//     stripe-friendly WriteBatch / MultiGet calls through the BatchCoalescer
+//     the evaluator's batched replay also uses (src/stores/batch_coalescer.h:
+//     same-key conflict rules, at most BatchCoalescer::kMaxPending ops per
+//     call), so a deep client pipeline becomes few store crossings per shard
+//     per burst.
 //   * Responses never block the reactors: each connection has a bounded
 //     OUTPUT QUEUE of response bursts, drained by non-blocking writev with
 //     EPOLLOUT re-arming on partial progress. Pipelined bursts queued behind

@@ -264,17 +264,7 @@ Status ParseRequest(const FrameView& frame, Request* out) {
         if (p == nullptr) {
           return status;
         }
-        switch (static_cast<WriteBatch::Op>(op)) {
-          case WriteBatch::Op::kPut:
-            out->batch.Put(key, value);
-            break;
-          case WriteBatch::Op::kMerge:
-            out->batch.Merge(key, value);
-            break;
-          case WriteBatch::Op::kDelete:
-            out->batch.Delete(key);
-            break;
-        }
+        out->batch.Append(static_cast<WriteBatch::Op>(op), key, value);
       }
       break;
     }
@@ -309,6 +299,12 @@ void AppendNotFoundResponse(std::string* out, uint32_t id) {
 
 void AppendMultiResponse(std::string* out, uint32_t id, const std::vector<Status>& statuses,
                          const std::vector<std::string>& values) {
+  for (const Status& s : statuses) {
+    if (!s.ok() && !s.IsNotFound()) {
+      AppendErrorResponse(out, id, s.ToString());  // a MULTI slot can only say hit or miss
+      return;
+    }
+  }
   std::string payload;
   PutVarint32(&payload, static_cast<uint32_t>(statuses.size()));
   for (size_t i = 0; i < statuses.size(); ++i) {

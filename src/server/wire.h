@@ -26,7 +26,8 @@
 //
 // (`lp` = varint32 length prefix + bytes, src/common/coding.h.) MULTI's
 // payload is [varint n]{[u8 status][lp value]}*n with status 0 = found and
-// 1 = not-found (value empty). ERROR carries a human-readable message and is
+// 1 = not-found (value empty); a MULTI_GET that meets any other per-key
+// error is answered with one ERROR frame instead. ERROR carries a human-readable message and is
 // a per-request failure unless id == 0, which the server uses for
 // connection-fatal protocol errors just before closing.
 //
@@ -142,6 +143,9 @@ struct Response {
 void AppendOkResponse(std::string* out, uint32_t id);
 void AppendValueResponse(std::string* out, uint32_t id, std::string_view value);
 void AppendNotFoundResponse(std::string* out, uint32_t id);
+// A MULTI frame carries only hit or miss per key, so when any status is
+// neither Ok nor NotFound the whole request is answered with one ERROR frame
+// (carrying `id` and the first such error) instead.
 void AppendMultiResponse(std::string* out, uint32_t id, const std::vector<Status>& statuses,
                          const std::vector<std::string>& values);
 void AppendErrorResponse(std::string* out, uint32_t id, std::string_view message);

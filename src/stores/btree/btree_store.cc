@@ -19,41 +19,6 @@ constexpr uint8_t kInternalType = 2;
 
 std::string TreePath(const std::string& dir) { return dir + "/btree.db"; }
 
-Status PwriteAll(int fd, const char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pwrite: ") + std::strerror(errno));
-    }
-    data += w;
-    offset += static_cast<uint64_t>(w);
-    n -= static_cast<size_t>(w);
-  }
-  return Status::Ok();
-}
-
-Status PreadAll(int fd, char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t r = ::pread(fd, data, n, static_cast<off_t>(offset));
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (r == 0) {
-      return Status::IoError("short pread from btree file");
-    }
-    data += r;
-    offset += static_cast<uint64_t>(r);
-    n -= static_cast<size_t>(r);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 size_t BTreeStore::Node::SerializedSize() const {
@@ -236,7 +201,7 @@ Status BTreeStore::Recover() {
     return PersistMeta();
   }
   std::string meta(opts_.page_size, '\0');
-  GADGET_RETURN_IF_ERROR(PreadAll(fd_, meta.data(), meta.size(), 0));
+  GADGET_RETURN_IF_ERROR(PreadFully(fd_, meta.data(), meta.size(), 0));
   if (DecodeFixed32(meta.data()) != kMetaMagic) {
     return Status::Corruption("bad btree meta page");
   }
@@ -255,7 +220,7 @@ Status BTreeStore::PersistMeta() {
   PutFixed32(&meta, free_head_);
   PutFixed32(&meta, height_);
   meta.resize(opts_.page_size, '\0');
-  return PwriteAll(fd_, meta.data(), meta.size(), 0);
+  return PwriteFully(fd_, meta.data(), meta.size(), 0);
 }
 
 // --------------------------------------------------------------- page cache
@@ -263,13 +228,13 @@ Status BTreeStore::PersistMeta() {
 Status BTreeStore::ReadPageRaw(uint32_t page_id, std::string* out) {
   out->resize(opts_.page_size);
   stats_.io_bytes_read += opts_.page_size;
-  return PreadAll(fd_, out->data(), out->size(),
+  return PreadFully(fd_, out->data(), out->size(),
                   static_cast<uint64_t>(page_id) * opts_.page_size);
 }
 
 Status BTreeStore::WritePageRaw(uint32_t page_id, std::string_view data) {
   stats_.io_bytes_written += opts_.page_size;
-  return PwriteAll(fd_, data.data(), data.size(),
+  return PwriteFully(fd_, data.data(), data.size(),
                    static_cast<uint64_t>(page_id) * opts_.page_size);
 }
 
@@ -388,7 +353,7 @@ StatusOr<BTreeStore::ValueRef> BTreeStore::StoreValue(std::string_view value) {
       // Patch the previous page's next pointer.
       std::string next_bytes;
       PutFixed32(&next_bytes, page_id);
-      GADGET_RETURN_IF_ERROR(PwriteAll(fd_, next_bytes.data(), 4,
+      GADGET_RETURN_IF_ERROR(PwriteFully(fd_, next_bytes.data(), 4,
                                        static_cast<uint64_t>(prev_page) * opts_.page_size));
     }
     prev_page = page_id;
@@ -755,7 +720,9 @@ Status BTreeStore::MultiGet(const std::vector<std::string>& keys,
   statuses->assign(keys.size(), Status::Ok());
   MutexLock lock(&mu_);
   if (closed_) {
-    return Status::Internal("store is closed");
+    const Status closed = Status::Internal("store is closed");
+    statuses->assign(keys.size(), closed);  // every key fails, none reads Ok
+    return closed;
   }
   Status first_error;
   for (size_t i = 0; i < keys.size(); ++i) {

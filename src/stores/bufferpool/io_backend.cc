@@ -1,36 +1,15 @@
 #include "src/stores/bufferpool/io_backend.h"
 
-#include <cerrno>
-#include <cstring>
-
-#include <unistd.h>
+#include "src/common/file_util.h"
 
 namespace gadget {
 namespace {
 
-// Full positional read with short-read detection; block reads always know
-// their exact length, so a short read is corruption, not EOF handling.
-Status PreadFully(IoRead* r) {
+// Block reads always know their exact length, so a short read is
+// corruption, not EOF handling.
+Status ReadBlock(IoRead* r) {
   r->out.resize(r->length);
-  char* p = r->out.data();
-  size_t left = r->length;
-  uint64_t off = r->offset;
-  while (left > 0) {
-    ssize_t n = ::pread(r->fd, p, left, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      return Status::IoError("short read");
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-    off += static_cast<uint64_t>(n);
-  }
-  return Status::Ok();
+  return PreadFully(r->fd, r->out.data(), r->length, r->offset);
 }
 
 }  // namespace
@@ -66,7 +45,7 @@ void IoBackend::ReadBatch(const std::vector<IoRead*>& reads) {
   NoteBatch(reads.size());
   if (reads.size() == 1) {
     // A one-read wave gains nothing from the worker hand-off.
-    reads[0]->status = PreadFully(reads[0]);
+    reads[0]->status = ReadBlock(reads[0]);
     return;
   }
   Batch batch;
@@ -106,7 +85,7 @@ void IoBackend::WorkerLoop() {
       item = queue_.front();
       queue_.pop_front();
     }
-    item.read->status = PreadFully(item.read);
+    item.read->status = ReadBlock(item.read);
     {
       MutexLock lock(&mu_);
       --item.batch->remaining;

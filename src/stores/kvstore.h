@@ -133,6 +133,16 @@ class WriteBatch {
     Append(Op::kMerge, key, operand);
   }
   void Delete(std::string_view key) { Append(Op::kDelete, key, {}); }
+  // Any of the three; a delete keeps no value whatever `value` holds.
+  void Append(Op op, std::string_view key, std::string_view value) {
+    if (size_ == entries_.size()) {
+      entries_.emplace_back();
+    }
+    Entry& e = entries_[size_++];
+    e.op = op;
+    e.key.assign(key.data(), key.size());
+    e.value.assign(value.data(), op == Op::kDelete ? 0 : value.size());
+  }
 
   // Keeps entry capacity (keys/values reuse their buffers on the next fill).
   void Clear() { size_ = 0; }
@@ -142,16 +152,6 @@ class WriteBatch {
   const Entry& entry(size_t i) const { return entries_[i]; }
 
  private:
-  void Append(Op op, std::string_view key, std::string_view value) {
-    if (size_ == entries_.size()) {
-      entries_.emplace_back();
-    }
-    Entry& e = entries_[size_++];
-    e.op = op;
-    e.key.assign(key.data(), key.size());
-    e.value.assign(value.data(), value.size());
-  }
-
   std::vector<Entry> entries_;  // [0, size_) live; tail retained for reuse
   size_t size_ = 0;
 };

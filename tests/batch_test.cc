@@ -1,6 +1,7 @@
 // Batched store API: WriteBatch / MultiGet semantics, batch-vs-single
 // equivalence per engine, the stats accounting contract, the group-commit
-// WAL record format, and batched replay's read-your-writes guarantee.
+// WAL record format, batched replay's read-your-writes guarantee, and the
+// BatchCoalescer's equivalence with sequential apply.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,8 +10,11 @@
 #include <vector>
 
 #include "src/common/file_util.h"
+#include "src/common/rng.h"
 #include "src/gadget/evaluator.h"
+#include "src/stores/batch_coalescer.h"
 #include "src/stores/kvstore.h"
+#include "src/stores/memstore.h"
 #include "src/stores/lsm/version.h"
 #include "src/stores/lsm/wal.h"
 #include "src/streams/state_access.h"
@@ -124,6 +128,27 @@ TEST_P(BatchEngineTest, BatchCountersTrackCallsAndOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, BatchEngineTest, ::testing::ValuesIn(kEngines));
+
+// Engines that refuse reads once closed (mem and the LSMs keep serving them).
+class ClosedBatchEngineTest : public BatchEngineTest {};
+
+// A refused MultiGet must fail every key: a per-key Ok with an empty value
+// would read as a hit to callers that go by per-key statuses (the server).
+TEST_P(ClosedBatchEngineTest, MultiGetAfterCloseFailsEveryKey) {
+  ASSERT_TRUE(store_->Put("a", "va").ok());
+  ASSERT_TRUE(store_->Close().ok());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  EXPECT_FALSE(store_->MultiGet({"a", "missing"}, &values, &statuses).ok());
+  ASSERT_EQ(statuses.size(), 2u);
+  for (const Status& s : statuses) {
+    EXPECT_FALSE(s.ok()) << s.ToString();
+    EXPECT_FALSE(s.IsNotFound()) << s.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ClosingEngines, ClosedBatchEngineTest,
+                         ::testing::Values("btree", "faster"));
 
 // ------------------------------------- batch-vs-single equivalence
 
@@ -317,6 +342,218 @@ TEST(BatchedReplayTest, ReadYourWritesMatchesUnbatchedReplay) {
       EXPECT_EQ(stats.puts, 800u) << engine << "/batch=" << batch;
       EXPECT_EQ(stats.gets, 1'000u) << engine << "/batch=" << batch;
       EXPECT_TRUE(store->Close().ok());
+    }
+  }
+}
+
+// ------------------------------------------------------- BatchCoalescer
+
+// One step of a random op stream. kMultiGet / kWriteBatch are the direct
+// calls a server shard issues for MULTI_GET / WRITE_BATCH frames.
+struct StreamOp {
+  enum Kind { kGet, kWrite, kMultiGet, kWriteBatch } kind = kGet;
+  WriteBatch::Op op = WriteBatch::Op::kPut;  // kWrite
+  std::string key;                           // kGet / kWrite
+  std::string value;                         // kWrite
+  std::vector<std::string> keys;             // kMultiGet
+  WriteBatch batch;                          // kWriteBatch
+};
+
+std::vector<StreamOp> RandomStream(uint64_t seed, size_t n, int num_keys) {
+  Pcg32 rng(seed);
+  auto key = [&] { return "k" + std::to_string(rng.NextBounded(num_keys)); };
+  std::vector<StreamOp> ops(n);
+  for (size_t i = 0; i < n; ++i) {
+    StreamOp& o = ops[i];
+    const std::string v = "<" + std::to_string(i) + ">";
+    const uint32_t r = rng.NextBounded(20);
+    if (r < 8) {
+      o.kind = StreamOp::kGet;
+      o.key = key();
+    } else if (r < 17) {
+      o.kind = StreamOp::kWrite;
+      o.op = r < 11 ? WriteBatch::Op::kPut
+                    : (r < 15 ? WriteBatch::Op::kMerge : WriteBatch::Op::kDelete);
+      o.key = key();
+      o.value = v;
+    } else if (r < 18) {
+      o.kind = StreamOp::kMultiGet;
+      for (uint32_t j = 0; j <= rng.NextBounded(3); ++j) {
+        o.keys.push_back(key());
+      }
+    } else {
+      o.kind = StreamOp::kWriteBatch;
+      for (uint32_t j = 0; j <= rng.NextBounded(3); ++j) {
+        o.batch.Append(static_cast<WriteBatch::Op>(rng.NextBounded(3)), key(), v);
+      }
+    }
+  }
+  return ops;
+}
+
+// A get's outcome as the stream saw it.
+std::string Outcome(const Status& s, const std::string& value) {
+  return s.ok() ? value : (s.IsNotFound() ? "<absent>" : "<error:" + s.ToString() + ">");
+}
+
+std::map<std::string, std::string> AllKeys(KVStore* store, int num_keys) {
+  std::map<std::string, std::string> state;
+  for (int i = 0; i < num_keys; ++i) {
+    const std::string k = "k" + std::to_string(i);
+    std::string value;
+    state[k] = Outcome(store->Get(k, &value), value);
+  }
+  return state;
+}
+
+// The oracle: every op applied on its own, in stream order. Returns every
+// read outcome in stream order (a MULTI_GET contributes one per key).
+std::vector<std::string> ApplySequentially(const std::vector<StreamOp>& ops, KVStore* store) {
+  std::vector<std::string> reads;
+  std::string value;
+  for (const StreamOp& o : ops) {
+    switch (o.kind) {
+      case StreamOp::kGet:
+        reads.push_back(Outcome(store->Get(o.key, &value), value));
+        break;
+      case StreamOp::kWrite:
+        EXPECT_TRUE(ApplySingle(store, {o.op, o.key, o.value}, true).ok());
+        break;
+      case StreamOp::kMultiGet:
+        for (const std::string& k : o.keys) {
+          reads.push_back(Outcome(store->Get(k, &value), value));
+        }
+        break;
+      case StreamOp::kWriteBatch:
+        for (size_t j = 0; j < o.batch.size(); ++j) {
+          const WriteBatch::Entry& e = o.batch.entry(j);
+          EXPECT_TRUE(ApplySingle(store, {e.op, e.key, e.value}, true).ok());
+        }
+        break;
+    }
+  }
+  return reads;
+}
+
+// Random streams over at most 16 keys (so conflicts are frequent) through
+// the coalescer, driven the way a server shard drives it: every get's
+// outcome and the final state must equal the sequential oracle's.
+TEST(BatchCoalescerTest, RandomStreamsMatchSequentialOracle) {
+  constexpr int kKeys = 12;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::vector<StreamOp> ops = RandomStream(seed, 1500, kKeys);
+    MemStore oracle;
+    const std::vector<std::string> expected = ApplySequentially(ops, &oracle);
+
+    for (size_t cap : {1, 2, 3, 8, 64}) {
+      MemStore store;
+      std::vector<std::string> reads(expected.size());
+      std::vector<size_t> pending;  // read slots of the pending gets
+      std::vector<std::string> values;
+      std::vector<Status> statuses;
+      BatchCoalescer batch(
+          cap, [&](const WriteBatch& wb) { return store.Write(wb); },
+          [&](const std::vector<std::string>& keys) {
+            EXPECT_EQ(keys.size(), pending.size());
+            EXPECT_LE(keys.size(), cap);
+            GADGET_RETURN_IF_ERROR(store.MultiGet(keys, &values, &statuses));
+            for (size_t j = 0; j < keys.size(); ++j) {
+              reads[pending[j]] = Outcome(statuses[j], values[j]);
+            }
+            pending.clear();
+            return Status::Ok();
+          });
+      size_t slot = 0;
+      for (const StreamOp& o : ops) {
+        switch (o.kind) {
+          case StreamOp::kGet:
+            pending.push_back(slot++);
+            ASSERT_TRUE(batch.AddGet(o.key).ok());
+            break;
+          case StreamOp::kWrite:
+            ASSERT_TRUE(batch.AddWrite(o.op, o.key, o.value).ok());
+            break;
+          case StreamOp::kMultiGet:
+            ASSERT_TRUE(batch.BeforeMultiGet(o.keys).ok());
+            ASSERT_TRUE(store.MultiGet(o.keys, &values, &statuses).ok());
+            for (size_t j = 0; j < o.keys.size(); ++j) {
+              reads[slot++] = Outcome(statuses[j], values[j]);
+            }
+            break;
+          case StreamOp::kWriteBatch:
+            ASSERT_TRUE(batch.BeforeWrite(o.batch).ok());
+            ASSERT_TRUE(store.Write(o.batch).ok());
+            break;
+        }
+      }
+      ASSERT_TRUE(batch.Flush().ok());
+      EXPECT_TRUE(pending.empty());
+      EXPECT_EQ(reads, expected) << "seed " << seed << " cap " << cap;
+      EXPECT_EQ(AllKeys(&store, kKeys), AllKeys(&oracle, kKeys))
+          << "seed " << seed << " cap " << cap;
+    }
+  }
+}
+
+// Whatever batch size is asked for, a pending side never outgrows
+// kMaxPending, so an unbounded server burst keeps its scans bounded.
+TEST(BatchCoalescerTest, PendingSidesAreCappedAtMaxPending) {
+  std::vector<size_t> write_flushes;
+  std::vector<size_t> get_flushes;
+  BatchCoalescer batch(
+      1'000'000,
+      [&](const WriteBatch& wb) {
+        write_flushes.push_back(wb.size());
+        return Status::Ok();
+      },
+      [&](const std::vector<std::string>& keys) {
+        get_flushes.push_back(keys.size());
+        return Status::Ok();
+      });
+  const size_t n = BatchCoalescer::kMaxPending + 10;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(batch.AddWrite(WriteBatch::Op::kPut, "w" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(batch.AddGet("g" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(batch.Flush().ok());
+  EXPECT_EQ(write_flushes, (std::vector<size_t>{BatchCoalescer::kMaxPending, 10}));
+  EXPECT_EQ(get_flushes, (std::vector<size_t>{BatchCoalescer::kMaxPending, 10}));
+}
+
+// The evaluator side: the same kind of streams as StateAccess traces
+// through ReplayTrace, batched against batch_size = 1.
+TEST(BatchCoalescerTest, BatchedReplayMatchesUnbatchedReplay) {
+  constexpr uint64_t kKeys = 16;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Pcg32 rng(seed);
+    std::vector<StateAccess> trace;
+    for (uint64_t i = 0; i < 3000; ++i) {
+      const OpType op = static_cast<OpType>(rng.NextBounded(4));
+      const uint32_t size =
+          op == OpType::kGet || op == OpType::kDelete ? 0 : 1 + rng.NextBounded(9);
+      trace.push_back(StateAccess{op, StateKey{rng.NextBounded(kKeys), 0}, size, i});
+    }
+    MemStore single_store;
+    auto single = ReplayTrace(trace, &single_store);
+    ASSERT_TRUE(single.ok());
+    std::map<std::string, std::string> single_state;
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      std::string value;
+      const std::string key = EncodeStateKey(StateKey{k, 0});
+      single_state[key] = Outcome(single_store.Get(key, &value), value);
+    }
+    for (uint64_t cap : {2, 3, 8, 64}) {
+      MemStore store;
+      ReplayOptions opts;
+      opts.batch_size = cap;
+      auto batched = ReplayTrace(trace, &store, opts);
+      ASSERT_TRUE(batched.ok());
+      EXPECT_EQ(batched->ops, single->ops) << "seed " << seed << " batch " << cap;
+      EXPECT_EQ(batched->not_found, single->not_found) << "seed " << seed << " batch " << cap;
+      for (const auto& [key, value] : single_state) {
+        std::string got;
+        EXPECT_EQ(Outcome(store.Get(key, &got), got), value) << "seed " << seed << " batch " << cap;
+      }
     }
   }
 }

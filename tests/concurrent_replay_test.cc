@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/file_util.h"
+#include "src/common/hash.h"
 #include "src/gadget/multi.h"
 #include "src/stores/kvstore.h"
 #include "src/stores/memstore.h"
@@ -149,6 +150,41 @@ TEST(ReplayShardedTest, MatchesSequentialFinalState) {
       if (es.ok()) {
         EXPECT_EQ(actual, expected) << threads << " threads";
       }
+    }
+  }
+}
+
+// The one trace split both replay paths use (ReplaySharded, RunLoadgen): each key
+// in exactly one partition, each partition in trace order, sizes summing to
+// the limit, and the partition index pinned to Hash64 of the encoded key —
+// the wire loadgen's per-client split.
+TEST(PartitionTraceTest, KeyDisjointOrderPreservingAndPinnedToEncodedKeyHash) {
+  const std::vector<StateAccess> trace = MixedTrace(5'000, 97);
+  for (unsigned n : {1u, 3u, 4u, 8u}) {
+    for (uint64_t limit : {uint64_t{0}, uint64_t{1'234}, uint64_t{trace.size()}}) {
+      uint64_t seen = 0;
+      const auto parts = PartitionTrace(trace, limit, n, [&](std::string_view key) {
+        EXPECT_EQ(key, EncodeStateKey(trace[seen].key));
+        ++seen;
+      });
+      EXPECT_EQ(seen, limit);
+      ASSERT_EQ(parts.size(), n);
+      std::map<StateKey, size_t> owner;
+      uint64_t total = 0;
+      for (size_t p = 0; p < parts.size(); ++p) {
+        for (size_t j = 0; j < parts[p].size(); ++j) {
+          const StateAccess& a = parts[p][j];
+          EXPECT_EQ(Hash64(EncodeStateKey(a.key)) % n, p);
+          EXPECT_EQ(owner.emplace(a.key, p).first->second, p) << "key in two partitions";
+          // MixedTrace timestamps are trace positions: strictly rising.
+          EXPECT_LT(a.timestamp, limit);
+          if (j > 0) {
+            EXPECT_LT(parts[p][j - 1].timestamp, a.timestamp);
+          }
+        }
+        total += parts[p].size();
+      }
+      EXPECT_EQ(total, limit);
     }
   }
 }

@@ -238,7 +238,7 @@ TEST(BufferPoolBypassTest, ExemptsPoolImplementationAndLookalikes) {
   EXPECT_FALSE(HasRule(LintContent("src/stores/bufferpool/io_backend.cc",
                                    "::pread(fd, buf, n, off);\nBlockCache x;\n"),
                        "bufferpool-bypass"));
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", "PreadAll(fd, buf, n, off);\n"),
+  EXPECT_FALSE(HasRule(LintContent("src/a.cc", "PreadFully(fd, buf, n, off);\n"),
                        "bufferpool-bypass"));
   EXPECT_FALSE(HasRule(LintContent("src/a.cc", "// pread() is banned here\n"),
                        "bufferpool-bypass"));

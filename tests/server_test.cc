@@ -25,6 +25,7 @@
 #include "src/server/server.h"
 #include "src/server/wire.h"
 #include "src/stores/kvstore.h"
+#include "src/stores/memstore.h"
 
 namespace gadget {
 namespace wire {
@@ -102,6 +103,24 @@ TEST(WireTest, ResponseRoundTrip) {
   next(&resp);
   EXPECT_EQ(resp.type, MsgType::kError);
   EXPECT_EQ(resp.value, "boom");
+}
+
+// A MULTI slot can only say hit or miss, so a per-key I/O error must not be
+// encoded as a miss: the whole request is answered with one ERROR frame.
+TEST(WireTest, MultiResponseWithKeyErrorBecomesOneErrorFrame) {
+  std::string buf;
+  AppendMultiResponse(&buf, 6, {Status::Ok(), Status::IoError("disk gone"), Status::NotFound()},
+                      {"v", "", ""});
+  FrameView frame;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(ExtractFrame(buf, &frame, &consumed, &error), FrameStatus::kOk) << error;
+  EXPECT_EQ(consumed, buf.size());  // exactly one frame
+  Response resp;
+  ASSERT_TRUE(ParseResponse(frame, &resp).ok());
+  EXPECT_EQ(resp.type, MsgType::kError);
+  EXPECT_EQ(resp.id, 6u);
+  EXPECT_NE(resp.value.find("disk gone"), std::string::npos) << resp.value;
 }
 
 TEST(WireTest, TornFrameReportsNeedMoreNeverError) {
@@ -402,6 +421,90 @@ TEST(ServerTest, PipelinedResponsesCompleteOutOfOrder) {
   EXPECT_EQ(first.type, MsgType::kOk);
   EXPECT_EQ(second.type, MsgType::kOk);
 
+  (*server)->Stop();
+}
+
+// Loadgen only sends MULTI_GET / WRITE_BATCH frames, so this is the test of
+// the shard workers' single-op coalescing: one connection pipelines
+// thousands of random GET/PUT/MERGE/DELETE frames over a few keys (so the
+// conflict rules fire constantly), and every response must match a
+// sequential in-process oracle.
+TEST(ServerTest, PipelinedSingleOpsMatchSequentialOracle) {
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.store.engine = "mem";
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect((*server)->port(), 1);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // Released before StatsJson below, which needs the one pooled connection.
+  auto lease = std::make_unique<Client::Lease>((*client)->AcquireLease());
+
+  MemStore oracle;
+  std::map<uint32_t, std::string> expected;  // id -> expected response
+  std::string burst;
+  uint64_t x = 0x9e3779b97f4a7c15ull;  // xorshift64
+  constexpr int kOps = 3000;
+  for (int i = 0; i < kOps; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::string key = "key" + std::to_string(x % 5);
+    const std::string value = "<" + std::to_string(i) + ">";
+    const uint32_t id = lease->NextId();
+    switch ((x >> 8) % 8) {
+      case 0:
+      case 1:
+      case 2: {
+        AppendGetRequest(&burst, id, key);
+        std::string v;
+        const Status s = oracle.Get(key, &v);
+        expected[id] = s.ok() ? "VALUE " + v : "NOT_FOUND";
+        break;
+      }
+      case 3:
+      case 4:
+        AppendPutRequest(&burst, id, key, value);
+        ASSERT_TRUE(oracle.Put(key, value).ok());
+        expected[id] = "OK";
+        break;
+      case 5:
+      case 6:
+        AppendMergeRequest(&burst, id, key, value);
+        ASSERT_TRUE(oracle.Merge(key, value).ok());
+        expected[id] = "OK";
+        break;
+      default:
+        AppendDeleteRequest(&burst, id, key);
+        ASSERT_TRUE(oracle.Delete(key).ok());
+        expected[id] = "OK";
+        break;
+    }
+  }
+  ASSERT_TRUE(lease->conn()->Send(burst).ok());
+  for (int i = 0; i < kOps; ++i) {
+    Response resp;
+    ASSERT_TRUE(lease->conn()->RecvResponse(&resp).ok());
+    auto it = expected.find(resp.id);
+    ASSERT_NE(it, expected.end()) << "unknown or duplicate id " << resp.id;
+    std::string got = MsgTypeName(resp.type);
+    if (resp.type == MsgType::kValue) {
+      got += " " + resp.value;
+    }
+    EXPECT_EQ(got, it->second) << "id " << resp.id;
+    expected.erase(it);
+  }
+  EXPECT_TRUE(expected.empty());
+  lease.reset();
+  // The burst really was coalesced: fewer store calls than ops.
+  auto stats_json = (*client)->StatsJson();
+  ASSERT_TRUE(stats_json.ok());
+  auto doc = ParseJson(*stats_json);
+  ASSERT_TRUE(doc.ok()) << *stats_json;
+  const JsonValue* merged = doc->Get("merged");
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->GetUint("batched_ops"), static_cast<uint64_t>(kOps));
+  EXPECT_LT(merged->GetUint("batches"), static_cast<uint64_t>(kOps) / 2);
   (*server)->Stop();
 }
 

@@ -440,7 +440,7 @@ void CheckRenameSync(std::string_view path, const std::vector<std::string_view>&
 // Block reads belong to the shared buffer pool: the legacy BlockCache type
 // must not come back, and raw pread() calls outside src/stores/bufferpool/
 // bypass the pool's IoBackend (no batching, no io_in_flight accounting).
-// Long-standing helpers (PreadAll, RandomAccessFile) are allowlisted.
+// file_util's PreadFully, the one sanctioned pread loop, is allowlisted.
 void CheckBufferPoolBypass(std::string_view path,
                            const std::vector<std::string_view>& stripped_lines,
                            std::vector<Finding>* findings) {
@@ -460,7 +460,8 @@ void CheckBufferPoolBypass(std::string_view path,
       findings->push_back({std::string(path), static_cast<int>(i + 1), "bufferpool-bypass",
                            "raw pread() outside src/stores/bufferpool/ bypasses the pool's "
                            "IoBackend (no batching or in-flight accounting); read through "
-                           "BufferPool/IoBackend or an allowlisted helper"});
+                           "BufferPool/IoBackend, or PreadFully (src/common/file_util.h) "
+                           "for non-block reads"});
     }
   }
 }
