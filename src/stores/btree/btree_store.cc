@@ -41,9 +41,18 @@ size_t BTreeStore::Node::SerializedSize() const {
   return size;
 }
 
-std::string BTreeStore::SerializeNode(const Node& node) const {
+std::string BTreeStore::SerializePage(const Page& page) const {
   std::string out;
   out.reserve(opts_.page_size);
+  if (page.chain) {
+    const auto& chain = static_cast<const ChainPage&>(page);
+    PutFixed32(&out, chain.next);
+    PutFixed32(&out, static_cast<uint32_t>(chain.chunk.size()));
+    out += chain.chunk;
+    out.resize(opts_.page_size, '\0');
+    return out;
+  }
+  const auto& node = static_cast<const Node&>(page);
   out.push_back(static_cast<char>(node.leaf ? kLeafType : kInternalType));
   uint16_t nkeys = static_cast<uint16_t>(node.keys.size());
   out.push_back(static_cast<char>(nkeys & 0xff));
@@ -197,7 +206,7 @@ Status BTreeStore::Recover() {
     height_ = 1;
     Node empty_root;
     empty_root.leaf = true;
-    GADGET_RETURN_IF_ERROR(WriteNode(root_, empty_root));
+    GADGET_RETURN_IF_ERROR(WritePageRaw(root_, SerializePage(empty_root)));
     return PersistMeta();
   }
   std::string meta(opts_.page_size, '\0');
@@ -238,54 +247,83 @@ Status BTreeStore::WritePageRaw(uint32_t page_id, std::string_view data) {
                    static_cast<uint64_t>(page_id) * opts_.page_size);
 }
 
-Status BTreeStore::WriteNode(uint32_t page_id, const Node& node) {
-  return WritePageRaw(page_id, SerializeNode(node));
-}
-
-StatusOr<std::shared_ptr<BTreeStore::Node>> BTreeStore::ReadNode(uint32_t page_id) {
-  std::string raw;
-  GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, &raw));
-  auto node = DeserializeNode(raw);
-  if (!node.ok()) {
-    return node.status();
+StatusOr<std::shared_ptr<BTreeStore::Page>> BTreeStore::FetchPage(uint32_t page_id, bool chain,
+                                                                  bool fill_cache) {
+  if (page_id == 0 || page_id >= next_page_) {
+    return Status::Corruption("btree page id " + std::to_string(page_id) + " out of range");
   }
-  return std::make_shared<Node>(std::move(*node));
+  std::shared_ptr<Page> page;
+  // Dirty table first: a dirty page is the page's only truth — the pool may
+  // have evicted its frame, and the on-disk bytes are stale.
+  if (auto dit = dirty_.find(page_id); dit != dirty_.end()) {
+    page = dit->second;
+  } else if (PinnedBlock cached = pool_->Lookup(pool_file_id_, page_id);
+             cached && cached.object() != nullptr) {
+    page = std::static_pointer_cast<Page>(cached.object());
+  } else {
+    std::string raw;
+    GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, &raw));
+    if (chain) {
+      auto chain_page = std::make_shared<ChainPage>();
+      chain_page->next = DecodeFixed32(raw.data());
+      const uint32_t len = DecodeFixed32(raw.data() + 4);
+      if (len > opts_.page_size - 8) {
+        return Status::Corruption("bad overflow chunk length in page " + std::to_string(page_id));
+      }
+      chain_page->chunk.assign(raw.data() + 8, len);
+      page = std::move(chain_page);
+    } else {
+      auto node = DeserializeNode(raw);
+      if (!node.ok()) {
+        return node.status();
+      }
+      page = std::make_shared<Node>(std::move(*node));
+    }
+    if (fill_cache) {
+      pool_->Insert(pool_file_id_, page_id, nullptr, page, opts_.page_size);
+    }
+    return page;
+  }
+  if (page->chain != chain) {
+    return Status::Corruption("btree page " + std::to_string(page_id) + " is not a " +
+                              (chain ? "chain page" : "tree node"));
+  }
+  return page;
 }
 
 StatusOr<std::shared_ptr<BTreeStore::Node>> BTreeStore::FetchNode(uint32_t page_id,
                                                                   bool fill_cache) {
-  // Dirty table first: a dirty node is the page's only truth — the pool may
-  // have evicted its frame, and the on-disk bytes are stale.
-  auto dit = dirty_.find(page_id);
-  if (dit != dirty_.end()) {
-    return dit->second;
+  auto page = FetchPage(page_id, /*chain=*/false, fill_cache);
+  if (!page.ok()) {
+    return page.status();
   }
-  if (PinnedBlock cached = pool_->Lookup(pool_file_id_, page_id);
-      cached && cached.object() != nullptr) {
-    return std::static_pointer_cast<Node>(cached.object());
-  }
-  auto node = ReadNode(page_id);
-  if (!node.ok()) {
-    return node.status();
-  }
-  if (fill_cache) {
-    pool_->Insert(pool_file_id_, page_id, nullptr, *node, opts_.page_size);
-  }
-  return *node;
+  return std::static_pointer_cast<Node>(std::move(page).value());
 }
 
-void BTreeStore::MarkDirty(uint32_t page_id, const std::shared_ptr<Node>& node) {
-  dirty_[page_id] = node;
+StatusOr<std::shared_ptr<BTreeStore::ChainPage>> BTreeStore::FetchChainPage(uint32_t page_id,
+                                                                            bool fill_cache) {
+  auto page = FetchPage(page_id, /*chain=*/true, fill_cache);
+  if (!page.ok()) {
+    return page.status();
+  }
+  return std::static_pointer_cast<ChainPage>(std::move(page).value());
 }
 
-void BTreeStore::InstallNode(uint32_t page_id, std::shared_ptr<Node> node) {
-  pool_->Insert(pool_file_id_, page_id, nullptr, node, opts_.page_size);
-  dirty_[page_id] = std::move(node);
+void BTreeStore::MarkDirty(uint32_t page_id, std::shared_ptr<Page> page) {
+  dirty_[page_id] = std::move(page);
+}
+
+void BTreeStore::InstallPage(uint32_t page_id, std::shared_ptr<Page> page) {
+  // A reused id may still have a frame holding its old object, which Insert
+  // would keep.
+  pool_->Erase(pool_file_id_, page_id);
+  pool_->Insert(pool_file_id_, page_id, nullptr, page, opts_.page_size);
+  dirty_[page_id] = std::move(page);
 }
 
 Status BTreeStore::WriteBackDirtyLocked() {
-  for (auto& [page_id, node] : dirty_) {
-    GADGET_RETURN_IF_ERROR(WriteNode(page_id, *node));
+  for (auto& [page_id, page] : dirty_) {
+    GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, SerializePage(*page)));
     ++stats_.flushes;
   }
   dirty_.clear();
@@ -299,29 +337,30 @@ Status BTreeStore::MaybeWriteBackLocked() {
   return WriteBackDirtyLocked();
 }
 
-uint32_t BTreeStore::AllocPage() {
-  if (free_head_ != 0) {
-    // Pop from the free list: the page's first 4 bytes hold the next id.
-    std::string raw;
-    if (ReadPageRaw(free_head_, &raw).ok()) {
-      uint32_t page = free_head_;
-      free_head_ = DecodeFixed32(raw.data());
-      return page;
-    }
+StatusOr<uint32_t> BTreeStore::AllocPage(std::shared_ptr<ChainPage>* link) {
+  if (free_head_ == 0) {
+    return next_page_++;
   }
-  return next_page_++;
+  const uint32_t page_id = free_head_;
+  auto head = FetchChainPage(page_id, /*fill_cache=*/true);
+  if (!head.ok()) {
+    return head.status();
+  }
+  if (!(*head)->chunk.empty()) {
+    return Status::Corruption("free-list page " + std::to_string(page_id) + " holds data");
+  }
+  free_head_ = (*head)->next;
+  if (link != nullptr) {
+    *link = std::move(head).value();
+  }
+  return page_id;
 }
 
-void BTreeStore::FreePage(uint32_t page_id) {
-  // Thread onto the free list; drop any cached copy.
-  dirty_.erase(page_id);
-  pool_->Erase(pool_file_id_, page_id);
-  std::string raw;
-  PutFixed32(&raw, free_head_);
-  raw.resize(opts_.page_size, '\0');
-  if (WritePageRaw(page_id, raw).ok()) {
-    free_head_ = page_id;
-  }
+void BTreeStore::FreePage(uint32_t page_id, const std::shared_ptr<ChainPage>& page) {
+  page->next = free_head_;
+  page->chunk.clear();
+  MarkDirty(page_id, page);
+  free_head_ = page_id;
 }
 
 // ---------------------------------------------------------- overflow values
@@ -332,147 +371,163 @@ StatusOr<BTreeStore::ValueRef> BTreeStore::StoreValue(std::string_view value) {
     ref.inline_data.assign(value.data(), value.size());
     return ref;
   }
-  // Chain of overflow pages: u32 next | u32 chunk_len | bytes.
+  // Chain of overflow pages. Every page is taken first, so each is written
+  // once, with its final next pointer. A page popped off the free list is
+  // overwritten in place; a new one is installed.
   ref.total_len = static_cast<uint32_t>(value.size());
   const size_t chunk_cap = opts_.page_size - 8;
-  size_t offset = 0;
-  uint32_t prev_page = 0;
-  std::string page;
-  while (offset < value.size()) {
-    size_t chunk = std::min(chunk_cap, value.size() - offset);
-    uint32_t page_id = AllocPage();
-    page.clear();
-    PutFixed32(&page, 0);  // next; patched by the following iteration
-    PutFixed32(&page, static_cast<uint32_t>(chunk));
-    page.append(value.data() + offset, chunk);
-    page.resize(opts_.page_size, '\0');
-    GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, page));
-    if (prev_page == 0) {
-      ref.overflow_head = page_id;
-    } else {
-      // Patch the previous page's next pointer.
-      std::string next_bytes;
-      PutFixed32(&next_bytes, page_id);
-      GADGET_RETURN_IF_ERROR(PwriteFully(fd_, next_bytes.data(), 4,
-                                       static_cast<uint64_t>(prev_page) * opts_.page_size));
+  std::vector<ChainRef> chain((value.size() + chunk_cap - 1) / chunk_cap);
+  for (auto& [page_id, page] : chain) {
+    auto id = AllocPage(&page);
+    if (!id.ok()) {
+      return id.status();
     }
-    prev_page = page_id;
-    offset += chunk;
+    page_id = *id;
   }
+  for (size_t i = 0; i < chain.size(); ++i) {
+    auto& [page_id, page] = chain[i];
+    const bool fresh = page == nullptr;
+    if (fresh) {
+      page = std::make_shared<ChainPage>();
+    }
+    page->next = i + 1 < chain.size() ? chain[i + 1].first : 0;
+    page->chunk.assign(value.substr(i * chunk_cap, chunk_cap));
+    if (fresh) {
+      InstallPage(page_id, page);
+    } else {
+      MarkDirty(page_id, page);
+    }
+  }
+  ref.overflow_head = chain[0].first;
   return ref;
 }
 
-Status BTreeStore::LoadValue(const ValueRef& ref, std::string* out) {
+Status BTreeStore::WalkChain(const ValueRef& ref, bool fill_cache, std::string* out,
+                             std::vector<ChainRef>* pages) {
+  const size_t chunk_cap = opts_.page_size - 8;
+  const size_t max_pages = (ref.total_len + chunk_cap - 1) / chunk_cap;
+  size_t len = 0;
+  size_t walked = 0;
+  for (uint32_t page_id = ref.overflow_head; page_id != 0;) {
+    if (++walked > max_pages) {
+      return Status::Corruption("overflow chain longer than its value");
+    }
+    auto page = FetchChainPage(page_id, fill_cache);
+    if (!page.ok()) {
+      return page.status();
+    }
+    const ChainPage& chain = **page;
+    len += chain.chunk.size();
+    if (len > ref.total_len) {
+      return Status::Corruption("overflow chain longer than its value");
+    }
+    if (out != nullptr) {
+      out->append(chain.chunk);
+    }
+    const uint32_t next = chain.next;
+    if (pages != nullptr) {
+      pages->emplace_back(page_id, std::move(page).value());
+    }
+    page_id = next;
+  }
+  if (len != ref.total_len) {
+    return Status::Corruption("overflow chain length mismatch");
+  }
+  return Status::Ok();
+}
+
+Status BTreeStore::LoadValue(const ValueRef& ref, std::string* out, bool fill_cache) {
   if (ref.overflow_head == 0) {
     *out = ref.inline_data;
     return Status::Ok();
   }
   out->clear();
   out->reserve(ref.total_len);
-  uint32_t page_id = ref.overflow_head;
-  std::string raw;
-  while (page_id != 0) {
-    GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, &raw));
-    uint32_t next = DecodeFixed32(raw.data());
-    uint32_t chunk = DecodeFixed32(raw.data() + 4);
-    if (chunk > opts_.page_size - 8) {
-      return Status::Corruption("bad overflow chunk");
-    }
-    out->append(raw.data() + 8, chunk);
-    page_id = next;
-  }
-  if (out->size() != ref.total_len) {
-    return Status::Corruption("overflow chain length mismatch");
-  }
-  return Status::Ok();
+  return WalkChain(ref, fill_cache, out, nullptr);
 }
 
-void BTreeStore::ReleaseValue(const ValueRef& ref) {
-  uint32_t page_id = ref.overflow_head;
-  std::string raw;
-  while (page_id != 0) {
-    if (!ReadPageRaw(page_id, &raw).ok()) {
-      return;
-    }
-    uint32_t next = DecodeFixed32(raw.data());
-    FreePage(page_id);
-    page_id = next;
+Status BTreeStore::ReleaseValue(const ValueRef& ref) {
+  if (ref.overflow_head == 0) {
+    return Status::Ok();
   }
+  // Walk the whole chain before freeing any of it: a corrupt chain is
+  // reported with the free list untouched.
+  std::vector<ChainRef> chain;
+  GADGET_RETURN_IF_ERROR(WalkChain(ref, /*fill_cache=*/true, nullptr, &chain));
+  for (const auto& [page_id, page] : chain) {
+    FreePage(page_id, page);
+  }
+  return Status::Ok();
 }
 
 // ----------------------------------------------------------------- tree ops
 
-StatusOr<uint32_t> BTreeStore::DescendToLeaf(std::string_view key,
-                                             std::vector<PathEntry>* path) {
+StatusOr<BTreeStore::LeafSlot> BTreeStore::FindSlot(std::string_view key, bool fill_cache) {
+  LeafSlot slot;
   uint32_t page_id = root_;
   for (;;) {
-    auto node = FetchNode(page_id);
+    auto node = FetchNode(page_id, fill_cache);
     if (!node.ok()) {
       return node.status();
     }
-    if ((*node)->leaf) {
-      return page_id;
-    }
     const auto& keys = (*node)->keys;
+    if ((*node)->leaf) {
+      auto it = std::lower_bound(keys.begin(), keys.end(), key,
+                                 [](const std::string& k, std::string_view q) { return k < q; });
+      slot.idx = static_cast<size_t>(it - keys.begin());
+      slot.found = it != keys.end() && std::string_view(*it) == key;
+      slot.leaf_id = page_id;
+      slot.leaf = std::move(node).value();
+      return slot;
+    }
     size_t idx = static_cast<size_t>(
         std::upper_bound(keys.begin(), keys.end(), key,
                          [](std::string_view k, const std::string& sep) { return k < sep; }) -
         keys.begin());
-    path->push_back(PathEntry{page_id, idx});
+    slot.path.push_back(PathEntry{page_id, idx});
     page_id = (*node)->children[idx];
   }
 }
 
-Status BTreeStore::GetLocked(std::string_view key, std::string* value, bool fill_cache) {
-  std::vector<PathEntry> path;
-  auto leaf_id = DescendToLeaf(key, &path);
-  if (!leaf_id.ok()) {
-    return leaf_id.status();
-  }
-  auto leaf = FetchNode(*leaf_id, fill_cache);
-  if (!leaf.ok()) {
-    return leaf.status();
-  }
-  const auto& keys = (*leaf)->keys;
-  auto it = std::lower_bound(keys.begin(), keys.end(), key,
-                             [](const std::string& k, std::string_view q) { return k < q; });
-  if (it == keys.end() || std::string_view(*it) != key) {
-    return Status::NotFound();
-  }
-  size_t idx = static_cast<size_t>(it - keys.begin());
-  return LoadValue((*leaf)->values[idx], value);
-}
-
-Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
-  std::vector<PathEntry> path;
-  auto leaf_id = DescendToLeaf(key, &path);
-  if (!leaf_id.ok()) {
-    return leaf_id.status();
-  }
-  auto leaf = FetchNode(*leaf_id);
-  if (!leaf.ok()) {
-    return leaf.status();
-  }
-  Node& node = **leaf;
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key,
-                             [](const std::string& k, std::string_view q) { return k < q; });
-  size_t idx = static_cast<size_t>(it - node.keys.begin());
+Status BTreeStore::StoreAt(LeafSlot slot, std::string_view key, std::string_view value) {
   auto new_ref = StoreValue(value);
   if (!new_ref.ok()) {
     return new_ref.status();
   }
-  if (it != node.keys.end() && std::string_view(*it) == key) {
-    ReleaseValue(node.values[idx]);
-    node.values[idx] = std::move(*new_ref);
+  Node& node = *slot.leaf;
+  const auto pos = static_cast<long>(slot.idx);
+  if (slot.found) {
+    // The old chain goes only once the new one is installed.
+    GADGET_RETURN_IF_ERROR(ReleaseValue(node.values[slot.idx]));
+    node.values[slot.idx] = std::move(*new_ref);
   } else {
-    node.keys.insert(node.keys.begin() + static_cast<long>(idx), std::string(key));
-    node.values.insert(node.values.begin() + static_cast<long>(idx), std::move(*new_ref));
+    node.keys.insert(node.keys.begin() + pos, std::string(key));
+    node.values.insert(node.values.begin() + pos, std::move(*new_ref));
   }
-  MarkDirty(*leaf_id, *leaf);
+  MarkDirty(slot.leaf_id, slot.leaf);
   if (node.SerializedSize() > opts_.page_size) {
-    return SplitAndInsert(*leaf_id, std::move(path));
+    return SplitAndInsert(slot.leaf_id, std::move(slot.path));
   }
   return Status::Ok();
+}
+
+Status BTreeStore::GetLocked(std::string_view key, std::string* value, bool fill_cache) {
+  auto slot = FindSlot(key, fill_cache);
+  if (!slot.ok()) {
+    return slot.status();
+  }
+  if (!slot->found) {
+    return Status::NotFound();
+  }
+  return LoadValue(slot->leaf->values[slot->idx], value, fill_cache);
+}
+
+Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
+  auto slot = FindSlot(key);
+  if (!slot.ok()) {
+    return slot.status();
+  }
+  return StoreAt(std::move(slot).value(), key, value);
 }
 
 Status BTreeStore::SplitAndInsert(uint32_t page_id, std::vector<PathEntry> path) {
@@ -485,14 +540,28 @@ Status BTreeStore::SplitAndInsert(uint32_t page_id, std::vector<PathEntry> path)
     if (node.SerializedSize() <= opts_.page_size) {
       return Status::Ok();
     }
+    // Take the page ids this level needs before mutating anything, so a
+    // failed allocation leaves the tree as it was.
+    auto right_id = AllocPage();
+    if (!right_id.ok()) {
+      return right_id.status();
+    }
+    uint32_t new_root_id = 0;
+    if (path.empty()) {
+      auto id = AllocPage();
+      if (!id.ok()) {
+        return id.status();
+      }
+      new_root_id = *id;
+    }
     // Split `node` into itself (left) and a new right sibling at the size
-    // midpoint.
+    // midpoint; `separator` goes up to the parent.
     auto right = std::make_shared<Node>();
     right->leaf = node.leaf;
-
-    size_t total = node.SerializedSize();
+    const size_t total = node.SerializedSize();
     size_t acc = 0;
     size_t split_idx = 0;
+    std::string separator;
     if (node.leaf) {
       for (size_t i = 0; i < node.keys.size(); ++i) {
         size_t entry = 3 + node.keys[i].size() +
@@ -511,73 +580,42 @@ Status BTreeStore::SplitAndInsert(uint32_t page_id, std::vector<PathEntry> path)
                            node.values.end());
       node.keys.resize(split_idx);
       node.values.resize(split_idx);
-      uint32_t right_id = AllocPage();
       right->next_leaf = node.next_leaf;
-      node.next_leaf = right_id;
-      MarkDirty(page_id, *node_or);
-      InstallNode(right_id, right);
-
-      std::string separator = right->keys.front();
-      // Insert the separator into the parent (or grow a new root).
-      if (path.empty()) {
-        auto new_root = std::make_shared<Node>();
-        new_root->leaf = false;
-        new_root->keys.push_back(separator);
-        new_root->children = {page_id, right_id};
-        uint32_t new_root_id = AllocPage();
-        InstallNode(new_root_id, new_root);
-        root_ = new_root_id;
-        ++height_;
-        GADGET_RETURN_IF_ERROR(PersistMeta());
-        return Status::Ok();
+      node.next_leaf = *right_id;
+      separator = right->keys.front();
+    } else {
+      // Internal node split: promote the middle key.
+      size_t n = node.keys.size();
+      split_idx = n / 2;
+      for (size_t i = 0; i < n; ++i) {
+        acc += 6 + node.keys[i].size();
+        if (acc >= total / 2) {
+          split_idx = i;
+          break;
+        }
       }
-      PathEntry parent = path.back();
-      path.pop_back();
-      auto parent_node = FetchNode(parent.page_id);
-      if (!parent_node.ok()) {
-        return parent_node.status();
-      }
-      Node& pn = **parent_node;
-      pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index), separator);
-      pn.children.insert(pn.children.begin() + static_cast<long>(parent.child_index) + 1,
-                         right_id);
-      MarkDirty(parent.page_id, *parent_node);
-      page_id = parent.page_id;  // continue loop: parent may now overflow
-      continue;
+      split_idx = std::clamp<size_t>(split_idx, 1, n - 2 > 0 ? n - 2 : 1);
+      separator = node.keys[split_idx];
+      right->keys.assign(node.keys.begin() + static_cast<long>(split_idx) + 1,
+                         node.keys.end());
+      right->children.assign(node.children.begin() + static_cast<long>(split_idx) + 1,
+                             node.children.end());
+      node.keys.resize(split_idx);
+      node.children.resize(split_idx + 1);
     }
-    // Internal node split: promote the middle key.
-    size_t n = node.keys.size();
-    acc = 0;
-    split_idx = n / 2;
-    for (size_t i = 0; i < n; ++i) {
-      acc += 6 + node.keys[i].size();
-      if (acc >= total / 2) {
-        split_idx = i;
-        break;
-      }
-    }
-    split_idx = std::clamp<size_t>(split_idx, 1, n - 2 > 0 ? n - 2 : 1);
-    std::string promoted = node.keys[split_idx];
-    right->keys.assign(node.keys.begin() + static_cast<long>(split_idx) + 1, node.keys.end());
-    right->children.assign(node.children.begin() + static_cast<long>(split_idx) + 1,
-                           node.children.end());
-    node.keys.resize(split_idx);
-    node.children.resize(split_idx + 1);
-    uint32_t right_id = AllocPage();
     MarkDirty(page_id, *node_or);
-    InstallNode(right_id, right);
+    InstallPage(*right_id, right);
 
+    // Insert the separator into the parent (or grow a new root).
     if (path.empty()) {
       auto new_root = std::make_shared<Node>();
       new_root->leaf = false;
-      new_root->keys.push_back(promoted);
-      new_root->children = {page_id, right_id};
-      uint32_t new_root_id = AllocPage();
-      InstallNode(new_root_id, new_root);
+      new_root->keys.push_back(std::move(separator));
+      new_root->children = {page_id, *right_id};
+      InstallPage(new_root_id, new_root);
       root_ = new_root_id;
       ++height_;
-      GADGET_RETURN_IF_ERROR(PersistMeta());
-      return Status::Ok();
+      return PersistMeta();
     }
     PathEntry parent = path.back();
     path.pop_back();
@@ -586,49 +624,48 @@ Status BTreeStore::SplitAndInsert(uint32_t page_id, std::vector<PathEntry> path)
       return parent_node.status();
     }
     Node& pn = **parent_node;
-    pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index), promoted);
+    pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index),
+                   std::move(separator));
     pn.children.insert(pn.children.begin() + static_cast<long>(parent.child_index) + 1,
-                       right_id);
+                       *right_id);
     MarkDirty(parent.page_id, *parent_node);
-    page_id = parent.page_id;
+    page_id = parent.page_id;  // continue loop: parent may now overflow
   }
 }
 
 Status BTreeStore::DeleteLocked(std::string_view key) {
-  std::vector<PathEntry> path;
-  auto leaf_id = DescendToLeaf(key, &path);
-  if (!leaf_id.ok()) {
-    return leaf_id.status();
+  auto slot = FindSlot(key);
+  if (!slot.ok()) {
+    return slot.status();
   }
-  auto leaf = FetchNode(*leaf_id);
-  if (!leaf.ok()) {
-    return leaf.status();
-  }
-  Node& node = **leaf;
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key,
-                             [](const std::string& k, std::string_view q) { return k < q; });
-  if (it == node.keys.end() || std::string_view(*it) != key) {
+  if (!slot->found) {
     return Status::Ok();  // blind delete of a missing key is a no-op
   }
-  size_t idx = static_cast<size_t>(it - node.keys.begin());
-  ReleaseValue(node.values[idx]);
-  node.keys.erase(it);
-  node.values.erase(node.values.begin() + static_cast<long>(idx));
-  MarkDirty(*leaf_id, *leaf);
-  // No rebalancing: empty non-root leaves stay linked but hold no entries;
-  // their pages are reused only after the parent range empties out. This is
-  // the lazy-reclamation model (see header).
+  Node& node = *slot->leaf;
+  const auto pos = static_cast<long>(slot->idx);
+  GADGET_RETURN_IF_ERROR(ReleaseValue(node.values[slot->idx]));
+  node.keys.erase(node.keys.begin() + pos);
+  node.values.erase(node.values.begin() + pos);
+  MarkDirty(slot->leaf_id, slot->leaf);
+  // No rebalancing: empty non-root leaves stay linked but hold no entries.
+  // This is the lazy-reclamation model (see header).
   return Status::Ok();
 }
 
 Status BTreeStore::RmwLocked(std::string_view key, std::string_view operand) {
+  auto slot = FindSlot(key);
+  if (!slot.ok()) {
+    return slot.status();
+  }
   std::string value;
-  Status s = GetLocked(key, &value);
-  if (!s.ok() && !s.IsNotFound()) {
-    return s;
+  if (slot->found) {
+    const ValueRef& old = slot->leaf->values[slot->idx];
+    value.reserve((old.overflow_head == 0 ? old.inline_data.size() : old.total_len) +
+                  operand.size());
+    GADGET_RETURN_IF_ERROR(LoadValue(old, &value));
   }
   value.append(operand.data(), operand.size());
-  return PutLocked(key, value);
+  return StoreAt(std::move(slot).value(), key, value);
 }
 
 // ------------------------------------------------------------ public facade
@@ -831,7 +868,8 @@ uint64_t BTreeStore::num_pages() const {
 Status BTreeStore::CheckInvariants() {
   MutexLock lock(&mu_);
   // Iterative BFS verifying (a) key ordering within nodes, (b) separator
-  // bounds, (c) uniform leaf depth.
+  // bounds, (c) uniform leaf depth, (d) every overflow chain's length; then
+  // (e) the free list.
   struct Item {
     uint32_t page_id;
     uint32_t depth;
@@ -869,6 +907,11 @@ Status BTreeStore::CheckInvariants() {
       if (n.keys.size() != n.values.size()) {
         return Status::Corruption("leaf keys/values mismatch");
       }
+      for (const ValueRef& v : n.values) {
+        if (v.overflow_head != 0) {
+          GADGET_RETURN_IF_ERROR(WalkChain(v, /*fill_cache=*/true, nullptr, nullptr));
+        }
+      }
     } else {
       if (n.children.size() != n.keys.size() + 1) {
         return Status::Corruption("internal children count mismatch");
@@ -888,6 +931,21 @@ Status BTreeStore::CheckInvariants() {
         queue.push_back(std::move(child));
       }
     }
+  }
+  // The free list: chunkless chain pages, fewer than the file holds.
+  uint64_t free_pages = 0;
+  for (uint32_t page_id = free_head_; page_id != 0;) {
+    if (++free_pages >= next_page_) {
+      return Status::Corruption("free list cycles");
+    }
+    auto link = FetchChainPage(page_id, /*fill_cache=*/true);
+    if (!link.ok()) {
+      return link.status();
+    }
+    if (!(*link)->chunk.empty()) {
+      return Status::Corruption("free-list page " + std::to_string(page_id) + " holds data");
+    }
+    page_id = (*link)->next;
   }
   return Status::Ok();
 }

@@ -56,7 +56,9 @@ struct StoreStats {
   uint64_t bytes_read = 0;      // user bytes returned
   uint64_t io_bytes_written = 0;  // device bytes (write amplification)
   uint64_t io_bytes_read = 0;
-  uint64_t flushes = 0;        // memtable/page-cache flushes
+  uint64_t flushes = 0;        // LSM memtable flushes, FASTER log spills;
+                               // btree: every page written back (node,
+                               // overflow or free page)
   uint64_t compactions = 0;    // LSM compactions / btree merges
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;

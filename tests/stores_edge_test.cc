@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "src/common/coding.h"
 #include "src/common/file_util.h"
 #include "src/stores/btree/btree_store.h"
 #include "src/stores/faster/faster_store.h"
@@ -135,6 +136,86 @@ TEST(CachePressureTest, BTreeEvictsDirtyPagesCorrectly) {
   auto* btree = static_cast<BTreeStore*>(store->get());
   ASSERT_TRUE(btree->CheckInvariants().ok());
   ASSERT_TRUE((*store)->Close().ok());
+}
+
+// ------------------------------------------------- B+tree corrupt page file
+
+std::string BTreeFile(const ScopedTempDir& dir) { return dir.path() + "/btree.db"; }
+
+TEST(BTreeEdgeTest, CyclicOverflowChainIsCorruption) {
+  ScopedTempDir dir;
+  constexpr size_t kPage = 4096;
+  constexpr size_t kChunk = kPage - 8;  // u32 next | u32 chunk_len | chunk
+  // 5000 bytes: a two-page chain.
+  std::string value(5000, '\0');
+  for (size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>(i * 131 + 7);
+  }
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("big", value).ok());
+    ASSERT_TRUE((*store)->Put("small", "s").ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(BTreeFile(dir), &file).ok());
+  size_t head = 0;
+  for (size_t p = 1; (p + 1) * kPage <= file.size(); ++p) {
+    if (file.compare(p * kPage + 8, kChunk, value, 0, kChunk) == 0) {
+      head = p;
+    }
+  }
+  ASSERT_NE(head, 0u) << "chain head not found";
+  const uint32_t second = DecodeFixed32(file.data() + head * kPage);
+  ASSERT_NE(second, 0u);
+  ASSERT_EQ(DecodeFixed32(file.data() + static_cast<size_t>(second) * kPage), 0u);
+  // Point the tail back at the head: the chain now cycles.
+  std::string next;
+  PutFixed32(&next, static_cast<uint32_t>(head));
+  file.replace(static_cast<size_t>(second) * kPage, 4, next);
+  ASSERT_TRUE(WriteStringToFile(BTreeFile(dir), file).ok());
+
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok());
+  std::string got;
+  Status s = (*store)->Get("big", &got);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = (*store)->ReadModifyWrite("big", "x");
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = (*store)->Delete("big");
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_TRUE((*store)->Get("small", &got).ok());
+  EXPECT_EQ(got, "s");
+  EXPECT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().IsCorruption());
+}
+
+TEST(BTreeEdgeTest, UnreadableFreeListHeadIsReportedNotSkipped) {
+  ScopedTempDir dir;
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("big", std::string(5000, 'b')).ok());
+    ASSERT_TRUE((*store)->Delete("big").ok());  // its two pages go on the free list
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  // Meta page: magic | root | next_page | free_head | height. Point the free
+  // list past the end of the file.
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(BTreeFile(dir), &file).ok());
+  ASSERT_NE(DecodeFixed32(file.data() + 12), 0u);
+  std::string head;
+  PutFixed32(&head, 999);
+  file.replace(12, 4, head);
+  ASSERT_TRUE(WriteStringToFile(BTreeFile(dir), file).ok());
+
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok());
+  const uint64_t pages = static_cast<BTreeStore*>(store->get())->num_pages();
+  // Allocating a page must fail loudly, not leak the list and grow the file.
+  Status s = (*store)->Put("big", std::string(5000, 'c'));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(static_cast<BTreeStore*>(store->get())->num_pages(), pages);
 }
 
 // --------------------------------------------------------- FASTER specifics

@@ -443,6 +443,177 @@ TEST(BTreeStoreTest, OverflowValues) {
   ASSERT_TRUE((*store_or)->Close().ok());
 }
 
+// Deterministic bytes for overflowed values: differ by key, version and
+// position, so a chunk from the wrong page or chain cannot pass.
+std::string OverflowPattern(int key, int version, size_t len) {
+  std::string out(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    out[i] = static_cast<char>((i * 131 + static_cast<size_t>(key) * 17 +
+                                static_cast<size_t>(version) * 7) & 0xff);
+  }
+  return out;
+}
+
+TEST(BTreeStoreTest, OverflowValuesSurviveReopenAndCheckpointWithTinyPool) {
+  ScopedTempDir dir;
+  StoreOptions opts;
+  opts.engine = "btree";
+  opts.dir = dir.path() + "/live";
+  // Four 4 KiB pages of pool: clean overflow pages are evicted and re-read.
+  opts.buffer_pool = BufferPoolOptions{.capacity_bytes = 4 * 4096, .shards = 1};
+  constexpr int kKeys = 60;
+  auto key_of = [](int i) { return "bucket" + std::to_string(i); };
+  std::map<std::string, std::string> oracle;
+  auto verify = [&](KVStore* store, const std::map<std::string, std::string>& want) {
+    ASSERT_TRUE(static_cast<BTreeStore*>(store)->CheckInvariants().ok());
+    for (int i = 0; i < kKeys; ++i) {
+      std::string value;
+      Status s = store->Get(key_of(i), &value);
+      auto it = want.find(key_of(i));
+      if (it == want.end()) {
+        EXPECT_TRUE(s.IsNotFound()) << key_of(i) << ": " << s.ToString();
+      } else {
+        ASSERT_TRUE(s.ok()) << key_of(i) << ": " << s.ToString();
+        EXPECT_EQ(value, it->second) << key_of(i);
+      }
+    }
+  };
+
+  auto store = OpenStore(opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // 1100..15850 bytes: one to four overflow pages each.
+  for (int i = 0; i < kKeys; ++i) {
+    oracle[key_of(i)] = OverflowPattern(i, 0, 1100 + static_cast<size_t>(i) * 250);
+    ASSERT_TRUE((*store)->Put(key_of(i), oracle[key_of(i)]).ok());
+  }
+  // Write back so the pages are clean and the pool may drop them.
+  ASSERT_TRUE((*store)->Flush().ok());
+  for (int i = 0; i < kKeys; i += 3) {
+    oracle[key_of(i)] = OverflowPattern(i, 1, 16000 - static_cast<size_t>(i) * 200);
+    ASSERT_TRUE((*store)->Put(key_of(i), oracle[key_of(i)]).ok());
+  }
+  for (int i = 1; i < kKeys; i += 5) {
+    oracle.erase(key_of(i));
+    ASSERT_TRUE((*store)->Delete(key_of(i)).ok());
+  }
+  ASSERT_TRUE((*store)->Flush().ok());
+  for (int i = 2; i < kKeys; i += 7) {
+    const std::string operand = OverflowPattern(i, 2, 3000);
+    oracle[key_of(i)] += operand;
+    ASSERT_TRUE((*store)->ReadModifyWrite(key_of(i), operand).ok());
+  }
+  verify(store->get(), oracle);
+  EXPECT_GT((*store)->stats().cache_evictions, 0u);
+  ASSERT_TRUE((*store)->Close().ok());
+
+  store = OpenStore(opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  verify(store->get(), oracle);
+  const std::string cp = dir.path() + "/cp";
+  ASSERT_TRUE((*store)->Checkpoint(cp).ok());
+  const std::map<std::string, std::string> at_checkpoint = oracle;
+  // Changes after the checkpoint must not reach the image.
+  ASSERT_TRUE((*store)->Put(key_of(0), OverflowPattern(0, 3, 9000)).ok());
+  ASSERT_TRUE((*store)->Delete(key_of(3)).ok());
+  ASSERT_TRUE((*store)->ReadModifyWrite(key_of(4), OverflowPattern(4, 3, 5000)).ok());
+  ASSERT_TRUE((*store)->Close().ok());
+
+  StoreOptions restored_opts = opts;
+  restored_opts.dir = dir.path() + "/restored";
+  auto restored = RestoreStore(restored_opts, cp);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  verify(restored->get(), at_checkpoint);
+  ASSERT_TRUE((*restored)->Close().ok());
+}
+
+TEST(BTreeStoreTest, RmwOfOverflowedValueReusesFreedPages) {
+  ScopedTempDir dir;
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok());
+  auto* btree = static_cast<BTreeStore*>(store->get());
+  std::string expected = OverflowPattern(1, 0, 5000);
+  ASSERT_TRUE((*store)->Put("bucket", expected).ok());
+  for (int i = 0; i < 1000; ++i) {
+    const std::string operand(10, static_cast<char>('a' + i % 26));
+    expected += operand;
+    ASSERT_TRUE((*store)->ReadModifyWrite("bucket", operand).ok()) << i;
+  }
+  std::string value;
+  ASSERT_TRUE((*store)->Get("bucket", &value).ok());
+  EXPECT_EQ(value, expected);
+  ASSERT_TRUE(btree->CheckInvariants().ok());
+  // The value ends at 15000 bytes, four pages. Each RMW installs the new
+  // chain before freeing the old one, so at most two chains exist at once:
+  // meta + root + 2 * 4 pages. Without reuse the file would hold ~3000.
+  EXPECT_LE(btree->num_pages(), 10u);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(BTreeStoreTest, SplitsReuseFreedOverflowPages) {
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = 512;  // 128-byte inline limit, tiny leaves
+  auto store = BTreeStore::Open(dir.path(), opts);
+  ASSERT_TRUE(store.ok());
+  auto* btree = static_cast<BTreeStore*>(store->get());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        (*store)->Put("big" + std::to_string(i), OverflowPattern(i, 0, 600 + 20 * i)).ok());
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE((*store)->Delete("big" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE((*store)->Flush().ok());
+  const uint64_t high_water = btree->num_pages();
+  // The splits below take their pages off the free list: each free-list
+  // link (a chain page, possibly pool-resident) becomes a tree node.
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE((*store)->Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(btree->num_pages(), high_water);
+  // After write-back the new nodes are read through the pool, which must
+  // not still hold the free-list links that were there before.
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE(btree->CheckInvariants().ok());
+  std::string value;
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE((*store)->Get("key" + std::to_string(i), &value).ok()) << i;
+    EXPECT_EQ(value, "v" + std::to_string(i));
+  }
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(BTreeStoreTest, PoolResidentOverflowRmwAndGetReadNoPages) {
+  ScopedTempDir dir;
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok());
+  std::string expected = OverflowPattern(2, 0, 6000);
+  ASSERT_TRUE((*store)->Put("bucket", expected).ok());
+  // Warm-up: the chain pages and the free list they cycle through are
+  // written back once and stay in the (default, roomy) pool.
+  for (int i = 0; i < 5; ++i) {
+    expected += "warm";
+    ASSERT_TRUE((*store)->ReadModifyWrite("bucket", "warm").ok());
+  }
+  ASSERT_TRUE((*store)->Flush().ok());
+  const uint64_t read_before = (*store)->stats().io_bytes_read;
+  std::string value;
+  for (int i = 0; i < 100; ++i) {
+    const std::string operand = "op" + std::to_string(i);
+    expected += operand;
+    ASSERT_TRUE((*store)->ReadModifyWrite("bucket", operand).ok()) << i;
+    ASSERT_TRUE((*store)->Get("bucket", &value).ok()) << i;
+    ASSERT_EQ(value, expected) << i;
+    if (i == 50) {
+      // Clean pages again: the rest of the loop must hit the pool, not the
+      // dirty table alone.
+      ASSERT_TRUE((*store)->Flush().ok());
+    }
+  }
+  EXPECT_EQ((*store)->stats().io_bytes_read, read_before);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
 TEST(BTreeStoreTest, PersistsAcrossReopen) {
   ScopedTempDir dir;
   BTreeOptions opts;
