@@ -1,7 +1,7 @@
 // Engine-level micro-benchmarks (google-benchmark): point operations per
-// engine, merge vs read-modify-write on growing buckets, and block/page
-// cache behaviour. These are the building blocks behind the shapes in
-// Figures 12/13.
+// engine, merge vs read-modify-write on growing buckets, block/page cache
+// behaviour, and the CRC32C kernel behind every on-disk checksum. These are
+// the building blocks behind the shapes in Figures 12/13.
 //
 // When GADGET_BENCH_JSON=<path> is set, a machine-readable gadget.bench/1
 // report is additionally written there after the benchmarks run: one small
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/crc32c.h"
 #include "src/common/file_util.h"
 #include "src/gadget/multi.h"
 #include "src/server/loadgen.h"
@@ -161,6 +162,23 @@ void BM_MultiGet(benchmark::State& state, const std::string& engine) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
 }
+
+// Checksum throughput of the dispatched Crc32c kernel, which verifies every
+// SSTable block, WAL record and trace file. The buffer is filled at run time
+// so the input cannot be folded away.
+void BM_Crc32c(benchmark::State& state) {
+  std::string buf(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>(i * 131 + 7);
+  }
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32c(crc, buf.data(), buf.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
 
 #define REGISTER_ENGINE_BENCH(fn)                                          \
   BENCHMARK_CAPTURE(fn, lsm, std::string("lsm"));                          \

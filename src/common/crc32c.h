@@ -1,5 +1,7 @@
-// CRC32C (Castagnoli) checksums protecting on-disk blocks (SSTables, WAL,
-// B+tree pages, hybrid-log segments).
+// CRC32C (Castagnoli) checksums protecting on-disk data: SSTable blocks, WAL
+// records and trace files. The kernel is chosen once per process: the SSE4.2
+// `crc32` instruction on x86-64 CPUs that have it, a byte-at-a-time table
+// loop everywhere else. Both give bit-identical results.
 #ifndef GADGET_COMMON_CRC32C_H_
 #define GADGET_COMMON_CRC32C_H_
 
@@ -21,6 +23,16 @@ inline uint32_t UnmaskCrc(uint32_t masked) {
   uint32_t rot = masked - 0xa282ead8u;
   return (rot >> 17) | (rot << 15);
 }
+
+// The two kernels behind Crc32c, exposed for tests only.
+namespace internal {
+// Whether this CPU runs Crc32cHardware natively (x86-64 with SSE4.2).
+bool HasHardwareCrc32c();
+// Call only when HasHardwareCrc32c() is true; on other architectures it
+// forwards to Crc32cPortable.
+uint32_t Crc32cHardware(uint32_t crc, const void* data, size_t len);
+uint32_t Crc32cPortable(uint32_t crc, const void* data, size_t len);
+}  // namespace internal
 
 }  // namespace gadget
 

@@ -480,6 +480,13 @@ StatusOr<BTreeStore::LeafSlot> BTreeStore::FindSlot(std::string_view key, bool f
       slot.leaf = std::move(node).value();
       return slot;
     }
+    // Leaves sit at depth height_ - 1. An internal node there means a bad
+    // child pointer, possibly one back up the tree that would loop forever.
+    if (slot.path.size() + 1 >= height_) {
+      return Status::Corruption("internal page " + std::to_string(page_id) +
+                                " at leaf depth of a height-" + std::to_string(height_) +
+                                " tree");
+    }
     size_t idx = static_cast<size_t>(
         std::upper_bound(keys.begin(), keys.end(), key,
                          [](std::string_view k, const std::string& sep) { return k < sep; }) -
@@ -868,7 +875,8 @@ uint64_t BTreeStore::num_pages() const {
 Status BTreeStore::CheckInvariants() {
   MutexLock lock(&mu_);
   // Iterative BFS verifying (a) key ordering within nodes, (b) separator
-  // bounds, (c) uniform leaf depth, (d) every overflow chain's length; then
+  // bounds, (c) every leaf at depth height_ - 1 (which also bounds the walk
+  // when a child pointer cycles), (d) every overflow chain's length; then
   // (e) the free list.
   struct Item {
     uint32_t page_id;
@@ -878,7 +886,6 @@ Status BTreeStore::CheckInvariants() {
     bool has_high;
   };
   std::vector<Item> queue{{root_, 0, "", "", false}};
-  int leaf_depth = -1;
   while (!queue.empty()) {
     Item item = std::move(queue.back());
     queue.pop_back();
@@ -898,12 +905,13 @@ Status BTreeStore::CheckInvariants() {
                                   std::to_string(item.page_id));
       }
     }
+    if (n.leaf ? item.depth + 1 != height_ : item.depth + 1 >= height_) {
+      return Status::Corruption((n.leaf ? "leaf page " : "internal page ") +
+                                std::to_string(item.page_id) + " at depth " +
+                                std::to_string(item.depth) + " of a height-" +
+                                std::to_string(height_) + " tree");
+    }
     if (n.leaf) {
-      if (leaf_depth == -1) {
-        leaf_depth = static_cast<int>(item.depth);
-      } else if (leaf_depth != static_cast<int>(item.depth)) {
-        return Status::Corruption("non-uniform leaf depth");
-      }
       if (n.keys.size() != n.values.size()) {
         return Status::Corruption("leaf keys/values mismatch");
       }

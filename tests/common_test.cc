@@ -2,7 +2,9 @@
 // file utilities.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "src/common/coding.h"
 #include "src/common/config.h"
@@ -105,6 +107,89 @@ TEST(Crc32cTest, Incremental) {
   uint32_t part = Crc32c(0, "hello ", 6);
   part = Crc32c(part, "world", 5);
   EXPECT_EQ(whole, part);
+}
+
+using Crc32cKernel = uint32_t (*)(uint32_t, const void*, size_t);
+
+// RFC 3720 (iSCSI) §B.4 test vectors.
+void ExpectRfc3720Vectors(Crc32cKernel crc) {
+  uint8_t buf[32];
+  std::memset(buf, 0x00, sizeof(buf));
+  EXPECT_EQ(crc(0, buf, sizeof(buf)), 0x8a9136aau);
+  std::memset(buf, 0xff, sizeof(buf));
+  EXPECT_EQ(crc(0, buf, sizeof(buf)), 0x62a8ab43u);
+  for (int i = 0; i < 32; ++i) {
+    buf[i] = static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(crc(0, buf, sizeof(buf)), 0x46dd794eu);
+  for (int i = 0; i < 32; ++i) {
+    buf[i] = static_cast<uint8_t>(31 - i);
+  }
+  EXPECT_EQ(crc(0, buf, sizeof(buf)), 0x113fdb5cu);
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  ExpectRfc3720Vectors(Crc32c);
+  ExpectRfc3720Vectors(internal::Crc32cPortable);
+  if (internal::HasHardwareCrc32c()) {
+    ExpectRfc3720Vectors(internal::Crc32cHardware);
+  }
+}
+
+// n deterministic pseudo-random bytes.
+std::vector<uint8_t> RandomBytes(size_t n) {
+  Pcg32 rng(0x5eed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  return out;
+}
+
+std::vector<size_t> PropertyLengths() {
+  std::vector<size_t> lens;
+  for (size_t len = 0; len <= 1024; ++len) {
+    lens.push_back(len);
+  }
+  lens.push_back(4096);
+  lens.push_back(65536);
+  return lens;
+}
+
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  if (!internal::HasHardwareCrc32c()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  const std::vector<uint8_t> buf = RandomBytes(65536 + 8);
+  for (size_t len : PropertyLengths()) {
+    for (size_t off = 0; off < 8; ++off) {
+      for (uint32_t seed : {0u, 0xdeadbeefu, static_cast<uint32_t>(len * 2654435761u) | 1u}) {
+        ASSERT_EQ(internal::Crc32cHardware(seed, buf.data() + off, len),
+                  internal::Crc32cPortable(seed, buf.data() + off, len))
+            << "len " << len << " offset " << off << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedMatchesWhole) {
+  const std::vector<uint8_t> buf = RandomBytes(4096 + 8);
+  std::vector<Crc32cKernel> kernels = {Crc32c, internal::Crc32cPortable};
+  if (internal::HasHardwareCrc32c()) {
+    kernels.push_back(internal::Crc32cHardware);
+  }
+  Pcg32 rng(7);
+  for (Crc32cKernel crc : kernels) {
+    for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{63},
+                       size_t{1000}, size_t{4096}}) {
+      const uint8_t* data = buf.data() + rng.NextU32() % 8;
+      const uint32_t whole = internal::Crc32cPortable(0, data, len);
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc(crc(0, data, split), data + split, len - split), whole)
+            << "len " << len << " split " << split;
+      }
+    }
+  }
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

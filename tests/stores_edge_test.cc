@@ -3,6 +3,7 @@
 // transitions, B+tree page boundary conditions, and Lethe-vs-LSM contrast.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "src/common/coding.h"
@@ -115,6 +116,60 @@ TEST(CachePressureTest, LsmReadsWorkWithTinyCache) {
   ASSERT_TRUE((*store)->Close().ok());
 }
 
+TEST(CachePressureTest, LsmCorruptBlockFailsPoolMissReadsAndIsNotCached) {
+  ScopedTempDir dir;
+  auto key = [](int i) {
+    std::string k = std::to_string(i);
+    return "key" + std::string(3 - k.size(), '0') + k;
+  };
+  const std::string value(100, 'v');
+  {
+    auto store = LsmStore::Open(dir.path(), LsmOptions());
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < 200; ++i) {  // ~23 KB: six 4 KiB data blocks
+      ASSERT_TRUE((*store)->Put(key(i), value).ok());
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  std::vector<std::string> tables;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    if (entry.path().extension() == ".sst") {
+      tables.push_back(entry.path().string());
+    }
+  }
+  ASSERT_EQ(tables.size(), 1u);
+  // The first data block starts the file and holds the smallest keys.
+  std::string raw;
+  ASSERT_TRUE(ReadFileToString(tables[0], &raw).ok());
+  raw[10] ^= 0x01;
+  ASSERT_TRUE(WriteStringToFile(tables[0], raw).ok());
+
+  // A cold pool smaller than the table: the bad block is always a pool miss.
+  auto pool = std::make_shared<BufferPool>(
+      BufferPoolOptions{.capacity_bytes = 8 * 1024, .shards = 1});
+  auto store = LsmStore::Open(dir.path(), LsmOptions(), pool);
+  ASSERT_TRUE(store.ok());
+  std::string got;
+  Status s = (*store)->Get(key(0), &got);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_TRUE((*store)->Get(key(199), &got).ok());
+  EXPECT_EQ(got, value);
+
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  for (int round = 0; round < 2; ++round) {  // the bad block must not be cached
+    s = (*store)->MultiGet({key(0), key(199)}, &values, &statuses);
+    EXPECT_TRUE(s.IsCorruption()) << round << ": " << s.ToString();
+    ASSERT_EQ(statuses.size(), 2u);
+    EXPECT_TRUE(statuses[0].IsCorruption()) << round << ": " << statuses[0].ToString();
+    ASSERT_TRUE(statuses[1].ok()) << round << ": " << statuses[1].ToString();
+    EXPECT_EQ(values[1], value);
+  }
+  EXPECT_GT((*store)->stats().cache_misses, 0u);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
 TEST(CachePressureTest, BTreeEvictsDirtyPagesCorrectly) {
   ScopedTempDir dir;
   BTreeOptions opts;
@@ -187,6 +242,44 @@ TEST(BTreeEdgeTest, CyclicOverflowChainIsCorruption) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   ASSERT_TRUE((*store)->Get("small", &got).ok());
   EXPECT_EQ(got, "s");
+  EXPECT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().IsCorruption());
+}
+
+TEST(BTreeEdgeTest, CyclicChildPointerIsCorruption) {
+  ScopedTempDir dir;
+  constexpr size_t kPage = 4096;
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < 400; ++i) {  // ~45 KB: an internal root over leaves
+      ASSERT_TRUE((*store)->Put("key" + std::to_string(1000 + i), std::string(100, 'v')).ok());
+    }
+    ASSERT_EQ(static_cast<BTreeStore*>(store->get())->height(), 2u);
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  // Meta page: magic | root | next_page | free_head | height. An internal
+  // page: type(1) | nkeys(2) | next_leaf(4) | children[0](4) | ...
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(BTreeFile(dir), &file).ok());
+  const uint32_t root = DecodeFixed32(file.data() + 4);
+  ASSERT_EQ(DecodeFixed32(file.data() + 16), 2u);
+  // Point the root's first child back at the root: the tree now cycles.
+  std::string child;
+  PutFixed32(&child, root);
+  file.replace(static_cast<size_t>(root) * kPage + 7, 4, child);
+  ASSERT_TRUE(WriteStringToFile(BTreeFile(dir), file).ok());
+
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok());
+  std::string got;
+  Status s = (*store)->Get("key1000", &got);  // below every separator: the bad child
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = (*store)->Put("key1000", "x");
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  s = (*store)->ReadModifyWrite("key1000", "x");
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_TRUE((*store)->Get("key1399", &got).ok());  // the last child is intact
+  EXPECT_EQ(got, std::string(100, 'v'));
   EXPECT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().IsCorruption());
 }
 
