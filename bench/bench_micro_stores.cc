@@ -1,7 +1,8 @@
 // Engine-level micro-benchmarks (google-benchmark): point operations per
 // engine, merge vs read-modify-write on growing buckets, block/page cache
-// behaviour, and the CRC32C kernel behind every on-disk checksum. These are
-// the building blocks behind the shapes in Figures 12/13.
+// behaviour, the CRC32C kernel behind every on-disk checksum, and the LSM
+// memtable on its own. These are the building blocks behind the shapes in
+// Figures 12/13.
 //
 // When GADGET_BENCH_JSON=<path> is set, a machine-readable gadget.bench/1
 // report is additionally written there after the benchmarks run: one small
@@ -28,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -36,10 +38,12 @@
 #include "bench/bench_util.h"
 #include "src/common/crc32c.h"
 #include "src/common/file_util.h"
+#include "src/common/hash.h"
 #include "src/gadget/multi.h"
 #include "src/server/loadgen.h"
 #include "src/server/server.h"
 #include "src/stores/kvstore.h"
+#include "src/stores/lsm/memtable.h"
 
 namespace gadget {
 namespace {
@@ -179,6 +183,50 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
+
+// The LSM memtable alone, on the holistic-window shape: 16-byte state keys
+// gain 256-byte merge operands, with every 64th op a delete (a fired
+// window), until the memtable holds one 16 MiB write buffer; then every key
+// is read back and the flush records are walked in key order. Keys and the
+// operand are filled at run time.
+void BM_MemTable(benchmark::State& state) {
+  constexpr uint64_t kBufferBytes = 16ull << 20;
+  constexpr uint64_t kKeys = 4096;
+  std::vector<std::string> keys(kKeys, std::string(16, '\0'));
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    const uint64_t words[2] = {Mix64(i), i};
+    std::memcpy(keys[i].data(), words, sizeof(words));
+  }
+  std::string operand(256, '\0');
+  for (size_t i = 0; i < operand.size(); ++i) {
+    operand[i] = static_cast<char>(i * 131 + 7);
+  }
+  int64_t ops = 0;
+  for (auto _ : state) {
+    MemTable mem;
+    uint64_t i = 0;
+    for (; mem.ApproximateBytes() < kBufferBytes; ++i) {
+      const std::string& key = keys[i * 7919 % kKeys];
+      if (i % 64 == 63) {
+        mem.Delete(key);
+      } else {
+        mem.Merge(key, operand);
+      }
+    }
+    std::string value;
+    std::vector<std::string> operands;
+    for (const std::string& key : keys) {
+      operands.clear();
+      benchmark::DoNotOptimize(mem.Get(key, &value, &operands));
+    }
+    uint64_t flushed = 0;
+    mem.ForEachFlushRecord([&](const MemTable::FlushRecord& rec) { flushed += rec.value.size(); });
+    benchmark::DoNotOptimize(flushed);
+    ops += static_cast<int64_t>(i + kKeys);
+  }
+  state.SetItemsProcessed(ops);
+}
+BENCHMARK(BM_MemTable)->Unit(benchmark::kMillisecond);
 
 #define REGISTER_ENGINE_BENCH(fn)                                          \
   BENCHMARK_CAPTURE(fn, lsm, std::string("lsm"));                          \

@@ -1,8 +1,9 @@
-// Non-cryptographic hashing used by stores (bloom filters, hash index) and
+// Non-cryptographic hashing used by stores (bloom filters, hash indexes) and
 // the YCSB zipfian scrambler.
 #ifndef GADGET_COMMON_HASH_H_
 #define GADGET_COMMON_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -52,6 +53,21 @@ inline uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
 inline uint64_t Hash64(std::string_view s, uint64_t seed = 0) {
   return Hash64(s.data(), s.size(), seed);
 }
+
+// Hash for std::string-keyed unordered containers, with transparent
+// string_view lookup. The 16-byte state keys take a two-word mix.
+struct StringKeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    if (s.size() == 16) {
+      uint64_t hi, lo;
+      std::memcpy(&hi, s.data(), 8);
+      std::memcpy(&lo, s.data() + 8, 8);
+      return static_cast<size_t>(Mix64(hi ^ (lo * 0x9e3779b97f4a7c15ULL)));
+    }
+    return static_cast<size_t>(Hash64(s));
+  }
+};
 
 }  // namespace gadget
 

@@ -401,10 +401,24 @@ Status LsmStore::MakeRoomForWriteLocked() {
     if (closing_) {
       return Status::Internal("store is closed");
     }
+    const size_t l0 = current_->levels[0].size();
+    if (!slowdown_done && l0 >= static_cast<size_t>(opts_.l0_slowdown_limit)) {
+      // Graduated tier, checked before the memtable-has-room return (as in
+      // LevelDB's MakeRoomForWrite): the commit-group leader seals a full
+      // memtable eagerly, so a full one is rarely seen here. One brief sleep
+      // per commit group gives compaction a head start long before the hard
+      // stall threshold.
+      auto t0 = MonoClock::now();
+      mu_.Unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      mu_.Lock();
+      stats_.slowdown_micros += MicrosSince(t0);
+      slowdown_done = true;
+      continue;
+    }
     if (mem_->ApproximateBytes() < opts_.write_buffer_size) {
       return Status::Ok();
     }
-    const size_t l0 = current_->levels[0].size();
     if (l0 >= static_cast<size_t>(opts_.l0_stall_limit)) {
       // Hard stall tier: block until compaction thins L0.
       auto t0 = MonoClock::now();
@@ -419,17 +433,6 @@ Status LsmStore::MakeRoomForWriteLocked() {
       flush_cv_.SignalAll();
       stall_cv_.Wait();
       stats_.stall_micros += MicrosSince(t0);
-      continue;
-    }
-    if (!slowdown_done && l0 >= static_cast<size_t>(opts_.l0_slowdown_limit)) {
-      // Graduated tier: one brief sleep per commit group gives compaction a
-      // head start long before the hard stall threshold.
-      auto t0 = MonoClock::now();
-      mu_.Unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      mu_.Lock();
-      stats_.slowdown_micros += MicrosSince(t0);
-      slowdown_done = true;
       continue;
     }
     GADGET_RETURN_IF_ERROR(RotateMemTableLocked());

@@ -2,58 +2,41 @@
 
 namespace gadget {
 
-void MemTable::Put(std::string_view key, std::string_view value) {
+MemTable::Entry& MemTable::Slot(std::string_view key) {
   auto it = table_.find(key);
   if (it == table_.end()) {
     it = table_.emplace(std::string(key), Entry{}).first;
     bytes_ += key.size() + 32;
-  } else {
-    bytes_ -= it->second.base.size();
-    for (const std::string& op : it->second.operands) {
-      bytes_ -= op.size();
-    }
-    if (it->second.has_base && it->second.base_type == RecType::kTombstone) {
-      --tombstones_;
-    }
   }
-  Entry& e = it->second;
-  e.has_base = true;
-  e.base_type = RecType::kValue;
-  e.base.assign(value.data(), value.size());
-  e.operands.clear();
-  bytes_ += value.size();
+  return it->second;
 }
+
+void MemTable::Replace(std::string_view key, RecType type, std::string_view data) {
+  Entry& e = Slot(key);
+  bytes_ = bytes_ - e.data.size() + data.size();
+  e.type = type;
+  // A fresh buffer, so a superseded merged value's capacity is freed rather
+  // than kept behind a small value or a tombstone.
+  e.data = std::string(data);
+}
+
+void MemTable::Put(std::string_view key, std::string_view value) {
+  Replace(key, RecType::kValue, value);
+}
+
+void MemTable::Delete(std::string_view key) { Replace(key, RecType::kTombstone, {}); }
 
 void MemTable::Merge(std::string_view key, std::string_view operand) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    it = table_.emplace(std::string(key), Entry{}).first;
-    bytes_ += key.size() + 32;
-  }
-  it->second.operands.emplace_back(operand);
-  bytes_ += operand.size() + 8;
-}
-
-void MemTable::Delete(std::string_view key) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    it = table_.emplace(std::string(key), Entry{}).first;
-    bytes_ += key.size() + 32;
+  Entry& e = Slot(key);
+  const size_t before = e.data.size();
+  if (e.type == RecType::kMergeStack) {
+    PutLengthPrefixed(&e.data, operand);
   } else {
-    bytes_ -= it->second.base.size();
-    for (const std::string& op : it->second.operands) {
-      bytes_ -= op.size();
-    }
-    if (it->second.has_base && it->second.base_type == RecType::kTombstone) {
-      --tombstones_;
-    }
+    // Onto a base (a deleted key's base is empty): the result is a full value.
+    e.type = RecType::kValue;
+    e.data.append(operand);
   }
-  Entry& e = it->second;
-  e.has_base = true;
-  e.base_type = RecType::kTombstone;
-  e.base.clear();
-  e.operands.clear();
-  ++tombstones_;
+  bytes_ += e.data.size() - before;
 }
 
 LookupState MemTable::Get(std::string_view key, std::string* value,
@@ -63,15 +46,18 @@ LookupState MemTable::Get(std::string_view key, std::string* value,
     return LookupState::kNotFound;
   }
   const Entry& e = it->second;
-  if (e.has_base) {
-    if (e.base_type == RecType::kTombstone && e.operands.empty()) {
+  switch (e.type) {
+    case RecType::kValue:
+      *value = e.data;
+      return LookupState::kFound;
+    case RecType::kTombstone:
       return LookupState::kDeleted;
-    }
-    std::string_view base = e.base_type == RecType::kValue ? std::string_view(e.base) : "";
-    *value = ApplyMerge(base, e.operands);
-    return LookupState::kFound;
+    case RecType::kMergeStack:
+      break;
   }
-  operands->insert(operands->end(), e.operands.begin(), e.operands.end());
+  // result intentionally ignored: Merge built this stack with
+  // PutLengthPrefixed, so it always decodes.
+  (void)DecodeMergeStack(e.data, operands);
   return LookupState::kMergePartial;
 }
 

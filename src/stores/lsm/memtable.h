@@ -1,17 +1,21 @@
-// Sorted in-memory write buffer.
+// In-memory write buffer: a hash index over one flat record per key, sorted
+// only when a sealed memtable is flushed.
 //
 // Entries collapse eagerly where legal: Put and Delete supersede everything
-// older *within this memtable*, so only the latest base plus subsequent merge
-// operands are kept per key. Keys with operands but no base must remain lazy
-// (kMergeStack) so older levels supply the base.
+// older *within this memtable*, so each key holds exactly the record it will
+// flush as. A key with operands but no base stays lazy (kMergeStack, its
+// operands already in EncodeMergeStack's encoding) so older levels supply the
+// base; a merge onto a base or a tombstone appends to a full value.
 #ifndef GADGET_STORES_LSM_MEMTABLE_H_
 #define GADGET_STORES_LSM_MEMTABLE_H_
 
-#include <map>
+#include <algorithm>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/stores/lsm/format.h"
 
 namespace gadget {
@@ -30,50 +34,52 @@ class MemTable {
   LookupState Get(std::string_view key, std::string* value,
                   std::vector<std::string>* operands) const;
 
-  // Approximate memory footprint in bytes.
+  // Approximate memory footprint in bytes: per key, its size plus a fixed
+  // node overhead plus its record's size.
   uint64_t ApproximateBytes() const { return bytes_; }
   bool empty() const { return table_.empty(); }
-  size_t num_keys() const { return table_.size(); }
 
   // Flush support: emits (key, type, serialized value) in key order. The
-  // serialized value for kMergeStack is EncodeMergeStack(operands).
+  // views point into the memtable, which must not change during the walk; a
+  // sealed memtable is immutable, so the flusher needs no lock.
   struct FlushRecord {
     std::string_view key;
     RecType type;
-    std::string value;
+    std::string_view value;
   };
   template <typename Fn>
   void ForEachFlushRecord(Fn&& fn) const {
-    for (const auto& [key, entry] : table_) {
-      if (!entry.has_base) {
-        fn(FlushRecord{key, RecType::kMergeStack, EncodeMergeStack(entry.operands)});
-      } else if (entry.base_type == RecType::kTombstone && entry.operands.empty()) {
-        fn(FlushRecord{key, RecType::kTombstone, std::string()});
-      } else {
-        // Base (possibly deleted->empty) plus operands collapses to a full
-        // value, which legally shadows all older records.
-        std::string_view base;
-        if (entry.base_type == RecType::kValue) {
-          base = entry.base;
-        }
-        fn(FlushRecord{key, RecType::kValue, ApplyMerge(base, entry.operands)});
-      }
+    std::vector<const Table::value_type*> sorted;
+    sorted.reserve(table_.size());
+    for (const auto& kv : table_) {
+      sorted.push_back(&kv);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Table::value_type* a, const Table::value_type* b) {
+                return a->first < b->first;
+              });
+    for (const Table::value_type* kv : sorted) {
+      fn(FlushRecord{kv->first, kv->second.type, kv->second.data});
     }
   }
 
-  uint64_t tombstone_count() const { return tombstones_; }
-
  private:
+  // `data` is the key's flush record: a full value (kValue), nothing
+  // (kTombstone), or the encoded operand stack (kMergeStack). A new key
+  // starts as an empty stack.
   struct Entry {
-    bool has_base = false;
-    RecType base_type = RecType::kValue;
-    std::string base;
-    std::vector<std::string> operands;  // oldest first
+    RecType type = RecType::kMergeStack;
+    std::string data;
   };
+  using Table = std::unordered_map<std::string, Entry, StringKeyHash, std::equal_to<>>;
 
-  std::map<std::string, Entry, std::less<>> table_;
+  // The key's entry, created (and charged for) on first touch.
+  Entry& Slot(std::string_view key);
+  // Put and Delete: the key's record becomes `data` of `type`.
+  void Replace(std::string_view key, RecType type, std::string_view data);
+
+  Table table_;
   uint64_t bytes_ = 0;
-  uint64_t tombstones_ = 0;
 };
 
 }  // namespace gadget

@@ -10,15 +10,15 @@
 namespace gadget {
 
 struct LsmOptions {
-  // Memtable budget: writes rotate between up to `max_write_buffers` buffers
-  // of `write_buffer_size` bytes each (paper: 2 x 128MB; scaled: 2 x 16MB).
+  // Memtable budget: the active memtable plus up to `max_immutable_memtables`
+  // sealed ones, `write_buffer_size` bytes each (paper: 2 x 128MB; scaled:
+  // 2 x 16MB, so one sealed memtable by default).
   uint64_t write_buffer_size = 16ull << 20;
-  int max_write_buffers = 2;
 
   // Write pipeline (DESIGN.md §5e). A full memtable is sealed onto a bounded
   // queue of immutables and flushed to L0 by a dedicated flusher thread, so
   // writers never do SSTable I/O inline. Must be >= 1 (Open rejects 0).
-  int max_immutable_memtables = 2;
+  int max_immutable_memtables = 1;
 
   // Maximum parallel subcompactions per compaction job: the input key range
   // is split into up to this many disjoint sub-ranges (at input-file

@@ -1,7 +1,5 @@
 #include "src/stores/memstore.h"
 
-#include <cstring>
-
 #include "src/common/coding.h"
 #include "src/common/file_util.h"
 #include "src/common/hash.h"
@@ -47,21 +45,11 @@ void GroupByStripe(const std::vector<uint32_t>& stripe_of, size_t num_stripes,
 
 }  // namespace
 
-size_t MemStore::KeyHash::operator()(std::string_view s) const {
-  if (s.size() == 16) {
-    uint64_t hi, lo;
-    std::memcpy(&hi, s.data(), 8);
-    std::memcpy(&lo, s.data() + 8, 8);
-    return static_cast<size_t>(Mix64(hi ^ (lo * 0x9e3779b97f4a7c15ULL)));
-  }
-  return static_cast<size_t>(Hash64(s));
-}
-
 MemStore::MemStore(size_t num_stripes)
     : stripes_(RoundUpPow2(num_stripes)), stripe_mask_(stripes_.size() - 1) {}
 
 MemStore::Stripe& MemStore::StripeFor(std::string_view key) {
-  return stripes_[KeyHash{}(key) & stripe_mask_];
+  return stripes_[StringKeyHash{}(key) & stripe_mask_];
 }
 
 Status MemStore::Put(std::string_view key, std::string_view value) {
@@ -218,7 +206,7 @@ Status MemStore::Write(const WriteBatch& batch) {
   // stripe is then locked once per batch.
   std::vector<uint32_t> stripe_of(n);
   for (size_t i = 0; i < n; ++i) {
-    stripe_of[i] = static_cast<uint32_t>(KeyHash{}(batch.entry(i).key) & stripe_mask_);
+    stripe_of[i] = static_cast<uint32_t>(StringKeyHash{}(batch.entry(i).key) & stripe_mask_);
   }
   std::vector<uint32_t> counts;
   std::vector<uint32_t> idx;
@@ -325,7 +313,7 @@ Status MemStore::MultiGet(const std::vector<std::string>& keys,
   }
   std::vector<uint32_t> stripe_of(n);
   for (size_t i = 0; i < n; ++i) {
-    stripe_of[i] = static_cast<uint32_t>(KeyHash{}(keys[i]) & stripe_mask_);
+    stripe_of[i] = static_cast<uint32_t>(StringKeyHash{}(keys[i]) & stripe_mask_);
   }
   std::vector<uint32_t> counts;
   std::vector<uint32_t> idx;

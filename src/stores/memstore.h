@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/stores/kvstore.h"
@@ -65,19 +66,14 @@ class MemStore : public KVStore {
   static constexpr size_t kDefaultStripes = 64;
 
  private:
-  // Transparent hash so gets can probe with a string_view (no allocation),
-  // with a fast path for the 16-byte encoded StateKeys the replayer uses.
-  // The same value picks the stripe (low bits) and the map bucket (libstdc++
-  // reduces modulo a prime, so reusing one hash is safe).
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const;
-  };
-
-  // Padded to a cache line so stripes do not false-share.
+  // Padded to a cache line so stripes do not false-share. StringKeyHash is
+  // transparent, so gets probe with a string_view (no allocation); the same
+  // value picks the stripe (low bits) and the map bucket (libstdc++ reduces
+  // modulo a prime, so reusing one hash is safe).
   struct alignas(64) Stripe {
     mutable SharedMutex mu;
-    std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>> map GUARDED_BY(mu);
+    std::unordered_map<std::string, std::string, StringKeyHash, std::equal_to<>> map
+        GUARDED_BY(mu);
     std::atomic<uint64_t> gets{0};
     std::atomic<uint64_t> puts{0};
     std::atomic<uint64_t> merges{0};

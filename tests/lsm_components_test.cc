@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/file_util.h"
+#include "src/common/rng.h"
 #include "src/stores/bufferpool/buffer_pool.h"
 #include "src/stores/lsm/bloom.h"
 #include "src/stores/lsm/memtable.h"
@@ -153,7 +154,7 @@ TEST(MemTableTest, FlushRecordTypes) {
   mem.Merge("merged", "+");
   std::map<std::string, std::pair<RecType, std::string>> records;
   mem.ForEachFlushRecord([&](const MemTable::FlushRecord& rec) {
-    records[std::string(rec.key)] = {rec.type, rec.value};
+    records[std::string(rec.key)] = {rec.type, std::string(rec.value)};
   });
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records["full"].first, RecType::kValue);
@@ -168,6 +169,81 @@ TEST(MemTableTest, ByteAccountingGrows) {
   uint64_t before = mem.ApproximateBytes();
   mem.Put("key", std::string(1000, 'v'));
   EXPECT_GT(mem.ApproximateBytes(), before + 900);
+}
+
+TEST(MemTableTest, PutOverMergedKeyReleasesOperandBytes) {
+  // A superseded operand stack must be refunded in full, or memtables seal
+  // early on merge-then-delete (holistic window) workloads.
+  MemTable lone;
+  lone.Put("key", "value");
+  MemTable merged;
+  merged.Merge("key", std::string(100, 'a'));
+  merged.Merge("key", "b");
+  merged.Merge("key", "c");
+  merged.Put("key", "value");
+  EXPECT_EQ(merged.ApproximateBytes(), lone.ApproximateBytes());
+  merged.Merge("key", "+tail");
+  merged.Delete("key");
+  MemTable deleted;
+  deleted.Delete("key");
+  EXPECT_EQ(merged.ApproximateBytes(), deleted.ApproximateBytes());
+}
+
+TEST(MemTableTest, FlushEmitsKeysInAscendingOrder) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 500; ++i) {
+    keys.push_back(std::string("k").append(std::to_string(i * 7919 % 1000)));
+  }
+  keys.push_back("");
+  keys.push_back(std::string("\xff\x00", 2));
+  keys.push_back(std::string("\x00", 1));
+  Pcg32 rng(17);
+  for (size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.NextBounded(static_cast<uint32_t>(i + 1))]);
+  }
+  MemTable mem;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    switch (i % 3) {
+      case 0:
+        mem.Put(keys[i], "v");
+        break;
+      case 1:
+        mem.Merge(keys[i], "m");
+        break;
+      default:
+        mem.Delete(keys[i]);
+        break;
+    }
+  }
+  std::vector<std::string> flushed;
+  mem.ForEachFlushRecord([&](const MemTable::FlushRecord& rec) {
+    flushed.emplace_back(rec.key);
+  });
+  ASSERT_EQ(flushed.size(), keys.size());
+  for (size_t i = 1; i < flushed.size(); ++i) {
+    EXPECT_LT(flushed[i - 1], flushed[i]) << i;
+  }
+}
+
+TEST(MemTableTest, BaselessStackFlushesInMergeStackEncoding) {
+  const std::vector<std::string> operands = {"x", "", std::string(300, 'y'),
+                                             std::string("\x00z", 2)};
+  MemTable mem;
+  for (const std::string& op : operands) {
+    mem.Merge("lazy", op);
+  }
+  int records = 0;
+  mem.ForEachFlushRecord([&](const MemTable::FlushRecord& rec) {
+    ++records;
+    EXPECT_EQ(rec.key, "lazy");
+    EXPECT_EQ(rec.type, RecType::kMergeStack);
+    EXPECT_EQ(rec.value, EncodeMergeStack(operands));
+  });
+  EXPECT_EQ(records, 1);
+  std::string value;
+  std::vector<std::string> got;
+  EXPECT_EQ(mem.Get("lazy", &value, &got), LookupState::kMergePartial);
+  EXPECT_EQ(got, operands);
 }
 
 // ------------------------------------------------------------------ sstable

@@ -4,6 +4,7 @@
 // parallel subcompactions.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <thread>
 
@@ -219,6 +220,47 @@ TEST(LsmPipelineTest, FullImmutableQueueStallsWriters) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE((*store)->Put("post" + std::to_string(i), value).ok()) << i;
   }
+  unpauser.join();
+  EXPECT_GT((*store)->stats().stall_micros, 0u);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(LsmPipelineTest, DefaultBudgetIsTwoMemtables) {
+  // The paper's write-buffer budget is two memtables: the active one and one
+  // sealed memtable waiting for the flusher. With the flusher held, the
+  // write after the second memtable fills must stall, not seal a third.
+  ScopedTempDir dir;
+  auto store = LsmStore::Open(dir.path(), LsmOptions());
+  ASSERT_TRUE(store.ok());
+  auto* lsm = AsLsm(store);
+  lsm->TEST_PauseFlusher(true);
+
+  // Fixed-width keys and one value size: every memtable fills after the
+  // same number of writes.
+  const std::string value(64 * 1024, 'v');
+  char key[16];
+  int next = 0;
+  auto put_next = [&] {
+    std::snprintf(key, sizeof(key), "key%06d", next++);
+    return (*store)->Put(key, value);
+  };
+  while (lsm->TEST_NumImmutables() < 1) {
+    ASSERT_LT(next, 10'000) << "memtable never sealed";
+    ASSERT_TRUE(put_next().ok());
+  }
+  const int per_memtable = next;
+  for (int i = 0; i < per_memtable; ++i) {
+    ASSERT_TRUE(put_next().ok());
+  }
+  // The second memtable is full, but the queue already holds its one entry.
+  EXPECT_EQ(lsm->TEST_NumImmutables(), 1u);
+  EXPECT_EQ((*store)->stats().stall_micros, 0u);
+
+  std::thread unpauser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    lsm->TEST_PauseFlusher(false);
+  });
+  ASSERT_TRUE(put_next().ok());
   unpauser.join();
   EXPECT_GT((*store)->stats().stall_micros, 0u);
   ASSERT_TRUE((*store)->Close().ok());
